@@ -6,6 +6,10 @@
 - ``adaptim``  — ADAPTIM-1 [Han et al. 2018] modified for seed
   minimization: the ASTI loop but greedily maximizing *untruncated*
   marginal spread with single-root RR sets.
+
+Both sample and select through ``repro.core.trim``: ADAPTIM calls
+``trim(roots="rr", delta=1/n_i)``; ATEUC draws an RR pool with
+``sample_pool`` and runs ``greedy_max_coverage`` to exhaustion.
 """
 from repro.baselines.adaptim import adaptim
 from repro.baselines.ateuc import AteucResult, ateuc

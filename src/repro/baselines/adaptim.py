@@ -36,7 +36,7 @@ def _adaptim_selector(spark, g, active, eta_i, model, eps, seed):
         roots="rr",
         delta=1.0 / max(2, n_i),
     )
-    return [res.node], res.n_sets
+    return res.nodes, res.n_sets
 
 
 def adaptim(

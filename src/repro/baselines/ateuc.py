@@ -21,42 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
+from repro.core.trim import EMPTY_POOL, extend_pool, greedy_max_coverage, sample_pool
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_upper_bound
 
 # See the comment at the S_u rule below.
 SAFETY_MARGIN = 1.15
-
-
-def _greedy_coverage_curve(
-    sets: list[np.ndarray], n: int, max_picks: int
-) -> tuple[list[int], list[int]]:
-    """Greedy pick sequence and the covered-set count after each pick."""
-    node_sets: dict[int, list[int]] = {}
-    for si, members in enumerate(sets):
-        for v in members.tolist():
-            node_sets.setdefault(v, []).append(si)
-    counts = np.zeros(n, dtype=np.int64)
-    for v, lst in node_sets.items():
-        counts[v] = len(lst)
-    covered = np.zeros(len(sets), dtype=bool)
-    picks: list[int] = []
-    curve: list[int] = []
-    covered_total = 0
-    for _ in range(max_picks):
-        v = int(np.argmax(counts))
-        if counts[v] <= 0:
-            break
-        picks.append(v)
-        for si in node_sets.get(v, []):
-            if not covered[si]:
-                covered[si] = True
-                covered_total += 1
-                for u in sets[si].tolist():
-                    counts[u] -= 1
-        counts[v] = -1
-        curve.append(covered_total)
-    return picks, curve
 
 
 @dataclass
@@ -83,7 +53,6 @@ def ateuc(
     seed: int = 0,
     theta0: int = 256,
     max_doublings: int = 12,
-    use_spark: bool = True,
 ) -> AteucResult:
     """Select a non-adaptive seed set with estimated E[I(S)] ≥ η."""
     if not 1 <= eta <= g.n:
@@ -92,20 +61,21 @@ def ateuc(
     active = np.ones(n, dtype=bool)
     # Failure budget ~1/(2n) per bound application, as in RIS practice.
     a = math.log(2.0 * n)
-    sets: list[np.ndarray] = []
+    pool = EMPTY_POOL
+    n_sets = 0
     theta = theta0
     for t in range(1, max_doublings + 1):
-        need = theta - len(sets)
+        need = theta - n_sets
         if need > 0:
-            sets.extend(
-                _rr_sets(
-                    spark, g, active, model, need, seed + 15485863 * t, len(sets), use_spark
-                )
+            more = sample_pool(
+                spark, g, active, 1, model, need, seed + 15485863 * t, roots="rr"
             )
-        picks, curve = _greedy_coverage_curve(sets, n, max_picks=n)
+            pool = extend_pool(pool, more)
+            n_sets += need
+        picks, curve = greedy_max_coverage(*pool, n, n)
         su = sl = None
         for j, cov in enumerate(curve, start=1):
-            est_ub = n * coverage_upper_bound(cov, a) / len(sets)
+            est_ub = n * coverage_upper_bound(cov, a) / n_sets
             # S_u targets the point estimate of E[I(S)] with a modest
             # safety margin — Han et al.'s guarantee is on *expected*
             # spread (their ε-accuracy certificate), so the returned set
@@ -114,7 +84,7 @@ def ateuc(
             # pure point-estimate targeting misses on nearly every
             # realization, a full confidence-bound target never misses;
             # this sits between and matches the paper's mixed pattern.
-            est = n * cov / len(sets)
+            est = n * cov / n_sets
             if sl is None and est_ub >= eta:
                 sl = j
             if su is None and est >= SAFETY_MARGIN * eta:
@@ -124,39 +94,27 @@ def ateuc(
             return AteucResult(
                 seeds=picks[:su],
                 sl_size=sl,
-                n_sets=len(sets),
+                n_sets=n_sets,
                 iterations=t,
-                est_spread=n * curve[su - 1] / len(sets),
+                est_spread=n * curve[su - 1] / n_sets,
             )
         theta *= 2
     # Sample budget exhausted without a certified S_u: return the full
     # greedy prefix whose *point estimate* reaches η (best effort).
     for j, cov in enumerate(curve, start=1):
-        if n * cov / len(sets) >= eta:
+        if n * cov / n_sets >= eta:
             return AteucResult(
                 seeds=picks[:j],
                 sl_size=sl or j,
-                n_sets=len(sets),
+                n_sets=n_sets,
                 iterations=max_doublings,
-                est_spread=n * cov / len(sets),
+                est_spread=n * cov / n_sets,
             )
     return AteucResult(
         seeds=picks,
         sl_size=sl or len(picks),
-        n_sets=len(sets),
+        n_sets=n_sets,
         iterations=max_doublings,
-        est_spread=n * (curve[-1] if curve else 0) / max(1, len(sets)),
+        est_spread=n * (curve[-1] if curve else 0) / max(1, n_sets),
     )
 
-
-def _rr_sets(spark, g, active, model, need, seed, id_offset, use_spark):
-    """Single-root RR sets, Spark-fanned when the batch is large."""
-    from repro.core.trim import SPARK_MIN_SETS
-    from repro.sampling.rr import sample_rr_local, sample_rr_pairs
-
-    if use_spark and spark is not None and need >= SPARK_MIN_SETS:
-        pairs = sample_rr_pairs(
-            spark, g, active, model, need, seed, id_offset=id_offset
-        ).toPandas()
-        return [grp.to_numpy(np.int64) for _, grp in pairs.groupby("set_id")["node"]]
-    return [m for _, m in sample_rr_local(g, active, model, need, seed, id_offset=id_offset)]

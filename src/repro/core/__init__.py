@@ -1,13 +1,21 @@
-"""The paper's primary contribution: TRIM, TRIM-B, and the ASTI loop.
+"""The paper's primary contribution: TRIM (TRIM-B) and the ASTI loop.
 
-- ``trim``    — Algorithm 2: truncated influence maximization of a
-  single node via mRR sets with the OPIM-C-style doubling/stop rule.
-- ``trim_b``  — Algorithm 3: size-b batch via greedy max coverage,
-  approximation ρ_b(1−1/e)(1−ε) with ρ_b = 1−(1−1/b)^b.
+- ``trim``    — Algorithm 3: a size-b batch via greedy max coverage over
+  mRR sets with the OPIM-C-style doubling/stop rule, approximation
+  ρ_b(1−1/e)(1−ε) with ρ_b = 1−(1−1/b)^b; b = 1 is Algorithm 2.
+- ``sample_pool`` — the one local/Spark venue switch, returning sets as
+  a CSR pool ``(indptr, members)``.
+- ``greedy_max_coverage`` — the one greedy over a CSR pool.
 - ``asti``    — Algorithm 1: the adaptive select/observe/update policy.
 """
-from repro.core.trim import TrimResult, trim
-from repro.core.trim_b import trim_b
+from repro.core.trim import TrimResult, greedy_max_coverage, sample_pool, trim
 from repro.core.asti import AstiResult, asti
 
-__all__ = ["TrimResult", "trim", "trim_b", "AstiResult", "asti"]
+__all__ = [
+    "TrimResult",
+    "trim",
+    "sample_pool",
+    "greedy_max_coverage",
+    "AstiResult",
+    "asti",
+]

@@ -1,7 +1,7 @@
 """ASTI — the adaptive seed-minimization framework (paper Algorithm 1).
 
 Repeatedly: select the node (or size-b batch) with maximum expected
-marginal *truncated* spread on the residual graph via TRIM/TRIM-B,
+marginal *truncated* spread on the residual graph via TRIM (Algorithms 2/3),
 observe its actual influence under the hidden ground-truth realization,
 remove activated nodes, and stop once η nodes are active. The selector
 is pluggable so the ADAPTIM baseline (untruncated greedy) reuses the
@@ -18,7 +18,6 @@ from repro.diffusion.propagate import spread_local
 from repro.diffusion.realization import Realization, sample_realization
 from repro.graphs.csr import GraphCSR
 from repro.core.trim import trim
-from repro.core.trim_b import trim_b
 
 # A selector maps (spark, g, active, eta_i, model, eps, seed) to the
 # chosen batch plus the number of sample sets it generated.
@@ -57,10 +56,7 @@ class AstiResult:
 
 def _default_selector(b: int) -> Selector:
     def select(spark, g, active, eta_i, model, eps, seed):
-        if b == 1:
-            res = trim(spark, g, active, eta_i, model, eps, seed)
-            return [res.node], res.n_sets
-        res = trim_b(spark, g, active, eta_i, model, eps, seed, b)
+        res = trim(spark, g, active, eta_i, model, eps, seed, b=b)
         return res.nodes, res.n_sets
 
     return select

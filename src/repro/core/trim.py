@@ -1,18 +1,26 @@
-"""TRIM — Truncated Influence Maximization (paper Algorithm 2).
+"""TRIM — Truncated Influence Maximization (paper Algorithms 2 and 3).
 
-Selects the single node with (approximately) maximum expected marginal
-*truncated* spread on the residual graph, via mRR sets with an
-OPIM-C-style doubling schedule and the Lemma A.2 stopping rule. Returns
-a (1−1/e)(1−ε)-approximate node.
+``trim`` selects a size-b batch with (approximately) maximum expected
+marginal *truncated* spread on the residual graph: greedy max coverage
+over mRR sets, an OPIM-C-style doubling schedule and the Lemma A.2
+stopping rule. That is TRIM-B (Algorithm 3), approximation
+ρ_b(1−1/e)(1−ε); with b = 1 the schedule reduces exactly (ρ₁ = 1,
+ln C(n,1) = ln n) and greedy to argmax, which is TRIM (Algorithm 2).
 
-The same machinery, switched to single-root RR sets and the ``n_i``
-estimator scale, implements ADAPTIM's per-round selection (baselines/).
+Every selector samples and selects through the two helpers here:
+
+- ``sample_pool`` — the only local/Spark venue switch; it returns the
+  sets as a CSR pool ``(indptr, members)``;
+- ``greedy_max_coverage`` — the one greedy over such a pool.
+
+ADAPTIM's per-round selection is ``trim`` with single-root RR sets and
+δ = 1/n_i; ATEUC runs the greedy to exhaustion over an RR pool
+(baselines/).
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import pyspark.sql.functions as F
 from pyspark.sql import SparkSession
 
 from repro.graphs.csr import GraphCSR
@@ -82,43 +90,106 @@ class TrimSchedule:
         )
 
 
-@dataclass
-class TrimResult:
-    """Outcome of one TRIM round."""
-
-    node: int
-    coverage: int
-    n_sets: int
-    iterations: int
-    est_truncated_spread: float  # η_i · Λ_R(v*)/|R|
-
-
-def _coverage_increment(
+def sample_pool(
     spark: SparkSession | None,
     g: GraphCSR,
     active: np.ndarray,
     eta_i: int,
     model: str,
-    need: int,
+    n_sets: int,
     seed: int,
+    *,
     roots: str,
-    use_spark: bool,
-) -> np.ndarray:
-    """Coverage-count vector over nodes for ``need`` freshly sampled sets."""
-    if use_spark and spark is not None and need >= SPARK_MIN_SETS:
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n_sets`` fresh sets as a CSR pool ``(indptr, members)``.
+
+    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. Without
+    Spark (``spark=None``), or below ``SPARK_MIN_SETS``, the sets are
+    sampled locally; otherwise Spark executors sample them and the
+    membership rows are collected and stably sorted by set id.
+    """
+    if spark is None or n_sets < SPARK_MIN_SETS:
+        sets = sample_sets_local(g, active, eta_i, model, n_sets, seed, roots=roots)
+        sizes = [len(m) for _, m in sets]
+        members = np.concatenate([m for _, m in sets] or [np.zeros(0, np.int64)])
+    else:
         pairs = sample_sets_pairs(
-            spark, g, active, eta_i, model, need, seed, roots=roots
-        )
-        rows = pairs.groupBy("node").agg(F.count("*").alias("cov")).collect()
-        inc = np.zeros(g.n, dtype=np.int64)
-        for r in rows:
-            inc[r["node"]] = r["cov"]
-        return inc
-    sets = sample_sets_local(g, active, eta_i, model, need, seed, roots=roots)
-    inc = np.zeros(g.n, dtype=np.int64)
-    for _, members in sets:
-        inc[members] += 1
-    return inc
+            spark, g, active, eta_i, model, n_sets, seed, roots=roots
+        ).toPandas()
+        set_ids = pairs["set_id"].to_numpy(np.int64)
+        order = np.argsort(set_ids, kind="stable")
+        members = pairs["node"].to_numpy(np.int64)[order]
+        sizes = np.bincount(set_ids, minlength=n_sets)
+    indptr = np.zeros(n_sets + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr, members
+
+
+def extend_pool(
+    pool: tuple[np.ndarray, np.ndarray], more: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR pool holding ``pool``'s sets followed by ``more``'s."""
+    indptr, members = pool
+    return (
+        np.concatenate([indptr, more[0][1:] + indptr[-1]]),
+        np.concatenate([members, more[1]]),
+    )
+
+
+EMPTY_POOL = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def greedy_max_coverage(
+    indptr: np.ndarray, members: np.ndarray, n: int, k: int
+) -> tuple[list[int], list[int]]:
+    """Greedy max coverage over a CSR pool: ``(picks, curve)``.
+
+    ``curve[j]`` is the number of sets covered by ``picks[:j + 1]``. Ties
+    go to the lowest node id; picking stops after ``k`` nodes or once no
+    node covers an uncovered set. ``counts[v]`` is the number of
+    uncovered sets holding v: each pick decrements it for the members of
+    the sets it newly covers, through a node→sets index, so a pick costs
+    one argmax plus the size of those sets. The index is built only when
+    a second pick follows, so k = 1 is a plain argmax.
+    """
+    counts = np.bincount(members, minlength=n)
+    picks: list[int] = []
+    curve: list[int] = []
+    covered = None
+    for _ in range(min(k, n)):
+        v = int(counts.argmax())
+        if counts[v] <= 0:
+            break
+        picks.append(v)
+        curve.append((curve[-1] if curve else 0) + int(counts[v]))
+        if len(picks) == k:
+            break
+        if covered is None:  # counts are still the initial ones here
+            sizes = np.diff(indptr)
+            set_of = np.repeat(np.arange(len(sizes)), sizes)
+            node_sets = set_of[np.argsort(members)]  # any order within a node works
+            node_ptr = np.concatenate([[0], np.cumsum(counts)]).tolist()
+            covered = np.zeros(len(sizes), dtype=bool)
+        sets_v = node_sets[node_ptr[v] : node_ptr[v + 1]]
+        new = sets_v[~covered[sets_v]]
+        covered[new] = True
+        # Member positions of the newly covered sets, range by range.
+        lens = sizes[new]
+        ends = np.cumsum(lens)
+        pos = np.repeat(indptr[new] - ends + lens, lens) + np.arange(ends[-1])
+        np.subtract.at(counts, members[pos], 1)
+    return picks, curve
+
+
+@dataclass
+class TrimResult:
+    """Outcome of one TRIM round."""
+
+    nodes: list[int]
+    coverage: int
+    n_sets: int
+    iterations: int
+    est_truncated_spread: float  # η_i · Λ_R(S_b)/|R|
 
 
 def trim(
@@ -130,11 +201,11 @@ def trim(
     eps: float,
     seed: int,
     *,
+    b: int = 1,
     roots: str = "mrr",
     delta: float | None = None,
-    use_spark: bool = True,
 ) -> TrimResult:
-    """One round of Algorithm 2 on the residual graph given by ``active``.
+    """One round of Algorithm 3 (b = 1: Algorithm 2) on the residual graph.
 
     ``roots="rr"`` with an explicit ``delta`` turns this into ADAPTIM's
     per-round untruncated selection (coverage logic is identical; only
@@ -144,24 +215,34 @@ def trim(
     if n_i == 0:
         raise ValueError("empty residual graph")
     eta_i = min(eta_i, n_i)
-    sched = TrimSchedule.build(n_i, eta_i, eps, b=1, delta=delta)
-    cov = np.zeros(g.n, dtype=np.int64)
+    b = min(b, n_i)
+    sched = TrimSchedule.build(n_i, eta_i, eps, b=b, delta=delta)
+    rb = rho(b)
+    pool = EMPTY_POOL
     n_sets = 0
     for t in range(1, sched.T + 1):
-        target = sched.theta_o * (2 ** (t - 1))
-        need = target - n_sets
+        need = sched.theta_o * (2 ** (t - 1)) - n_sets
         if need > 0:
-            cov += _coverage_increment(
-                spark, g, active, eta_i, model, need, seed + 104729 * t, roots, use_spark
+            more = sample_pool(
+                spark, g, active, eta_i, model, need, seed + 104729 * t, roots=roots
             )
-            n_sets = target
-        v_star = int(np.argmax(cov))
-        lam = int(cov[v_star])
+            pool = extend_pool(pool, more)
+            n_sets += need
+        nodes, curve = greedy_max_coverage(*pool, g.n, b)
+        lam = curve[-1] if curve else 0
         lam_l = coverage_lower_bound(lam, sched.a1)
-        lam_u = coverage_upper_bound(lam, sched.a2)
-        if lam_u > 0 and lam_l / lam_u >= 1.0 - sched.eps_hat or t == sched.T:
+        lam_u = coverage_upper_bound(lam / rb, sched.a2)
+        if (lam_u > 0 and lam_l / lam_u >= rb * (1.0 - sched.eps_hat)) or t == sched.T:
+            # Pad with highest-degree unpicked active nodes if greedy ran
+            # out of coverable sets before filling the batch.
+            if len(nodes) < b:
+                for v in np.argsort(-g.outdeg).tolist():
+                    if active[v] and v not in nodes:
+                        nodes.append(int(v))
+                        if len(nodes) == b:
+                            break
             return TrimResult(
-                node=v_star,
+                nodes=nodes,
                 coverage=lam,
                 n_sets=n_sets,
                 iterations=t,

@@ -96,11 +96,12 @@ def spread_spark(
     return reached
 
 
-def exact_expected_spread(g, seeds, model: str = IC) -> float:
-    """E[I(S)] by enumerating all 2^m realizations (tiny graphs only).
+def exact_expected_spread(g, seeds, model: str = IC, *, eta: int | None = None) -> float:
+    """E[I(S)], or E[Γ(S)] = E[min{I(S), η}] given ``eta``, exactly.
 
-    Used as a test oracle for sampler unbiasedness and the paper's
-    Example 2.3. IC only; m must be small (≤ ~16).
+    Enumerates all 2^m realizations (tiny graphs only). Used as a test
+    oracle for sampler unbiasedness and the paper's Example 2.3. IC only;
+    m must be small (≤ ~16).
     """
     from itertools import product
 
@@ -115,24 +116,6 @@ def exact_expected_spread(g, seeds, model: str = IC) -> float:
         live = np.array(bits, dtype=bool)
         p = np.prod(np.where(live, g.fwd_probs, 1.0 - g.fwd_probs))
         real = Realization(graph=g, model=IC, live_fwd=live, chosen_src=None)
-        total += p * len(spread_local(real, seeds))
-    return float(total)
-
-
-def exact_expected_truncated(g, seeds, eta: int, model: str = IC) -> float:
-    """E[Γ(S)] = E[min{I(S), η}] by exact enumeration (tiny IC graphs)."""
-    from itertools import product
-
-    from repro.diffusion.realization import Realization
-
-    if model != IC:
-        raise ValueError("exact enumeration implemented for IC only")
-    if g.m > 16:
-        raise ValueError("graph too large for exact enumeration")
-    total = 0.0
-    for bits in product([False, True], repeat=g.m):
-        live = np.array(bits, dtype=bool)
-        p = np.prod(np.where(live, g.fwd_probs, 1.0 - g.fwd_probs))
-        real = Realization(graph=g, model=IC, live_fwd=live, chosen_src=None)
-        total += p * truncated(len(spread_local(real, seeds)), eta)
+        spread = len(spread_local(real, seeds))
+        total += p * (spread if eta is None else truncated(spread, eta))
     return float(total)

@@ -5,7 +5,9 @@ The paper's sampling contribution is the multi-root reverse reachable
 roots where ``k`` is randomized-rounded so ``E[k] = n/η``, giving the
 binary estimator ``Γ̃(S) = η·1[S ∩ R ≠ ∅]`` the Theorem 3.3 sandwich
 ``(1−1/e)·E[Γ(S)] ≤ E[Γ̃(S)] ≤ E[Γ(S)]``. Single-root RR sets (Borgs et
-al.) are kept for the ATEUC/ADAPTIM baselines.
+al.) for the ATEUC/ADAPTIM baselines are the ``roots="rr"`` mode of the
+same samplers. Venue choice and the CSR set pool live in
+``repro.core.trim.sample_pool``.
 """
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
 from repro.sampling.mrr import (

@@ -9,13 +9,14 @@ time it is examined (each edge is examined at most once per set, so the
 statuses are consistent, exactly the argument in §3.3); LT lets each
 popped node keep its single live in-edge choice.
 
-Single-root RR sets for the baselines are the ``roots="rr"`` mode of the
-same machinery.
+Single-root RR sets (Borgs et al.) for the baselines are the
+``roots="rr"`` mode of the same machinery: ``k = 1``, which gives the
+unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 
 The distributed path (``sample_sets_pairs``) fans a task DataFrame out
 with ``mapInPandas`` over a broadcast CSR payload and returns
-``(set_id, node)`` membership rows; coverage counting is then a plain
-``groupBy(node).count()`` — see core/trim.py.
+``(set_id, node)`` membership rows; ``core/trim.sample_pool`` chooses
+the venue and turns either output into one CSR pool.
 """
 from typing import Iterator
 
@@ -24,7 +25,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.diffusion.realization import IC, LT
+from repro.diffusion.realization import IC, choose_in_edge
 from repro.graphs.csr import GraphCSR
 
 PAIRS_SCHEMA = StructType(
@@ -67,9 +68,8 @@ def _reverse_bfs(
                 coins = rng.random(hi - lo) < rev_probs[lo:hi]
                 srcs = rev_indices[lo:hi][coins]
             else:  # LT: the node keeps exactly one live in-edge.
-                cum = np.cumsum(rev_probs[lo:hi])
-                j = int(np.searchsorted(cum, rng.random(), side="right"))
-                srcs = rev_indices[lo + j : lo + j + 1] if j < hi - lo else rev_indices[:0]
+                j = choose_in_edge(rev_probs[lo:hi], rng.random())
+                srcs = rev_indices[lo + j : lo + j + 1] if j >= 0 else rev_indices[:0]
             for u in srcs.tolist():
                 if active[u] and u not in visited:
                     visited.add(u)
@@ -87,7 +87,7 @@ def _generate_batch(
     roots: str,
     count: int,
     seed: int,
-    id_offset: int,
+    first_id: int = 0,
 ) -> list[tuple[int, np.ndarray]]:
     """Generate ``count`` sets locally; list of (set_id, member array)."""
     rng = np.random.default_rng(seed)
@@ -102,7 +102,7 @@ def _generate_batch(
             raise ValueError(f"unknown roots mode {roots!r}")
         root_nodes = active_idx[rng.choice(n_i, size=k, replace=False)]
         members = _reverse_bfs(payload, active, root_nodes, rng, model)
-        out.append((id_offset + j, members))
+        out.append((first_id + j, members))
     return out
 
 
@@ -115,12 +115,11 @@ def sample_sets_local(
     seed: int,
     *,
     roots: str = "mrr",
-    id_offset: int = 0,
 ) -> list[tuple[int, np.ndarray]]:
     """Driver-local generation (tests and tiny rounds)."""
     active_idx = np.nonzero(active)[0]
     return _generate_batch(
-        g.payload(), active, active_idx, eta_i, model, roots, n_sets, seed, id_offset
+        g.payload(), active, active_idx, eta_i, model, roots, n_sets, seed
     )
 
 
@@ -134,33 +133,29 @@ def sample_sets_pairs(
     seed: int,
     *,
     roots: str = "mrr",
-    id_offset: int = 0,
-    batches: int | None = None,
 ) -> DataFrame:
     """Distributed generation: DataFrame of (set_id, node) membership rows.
 
     One task row per batch; each executor-side task traverses the
-    broadcast CSR payload. Set ids are globally unique given a unique
-    ``id_offset`` per call, so unions across doubling iterations are
-    well-defined.
+    broadcast CSR payload. Set ids are ``0 .. n_sets − 1``.
     """
-    if batches is None:
-        batches = max(1, min(n_sets, 2 * spark.sparkContext.defaultParallelism))
+    if not active.any():
+        raise ValueError("no active nodes to sample roots from")
+    batches = max(1, min(n_sets, 2 * spark.sparkContext.defaultParallelism))
     bc = g.broadcast(spark)
     active_bytes = np.packbits(active)
     n = g.n
-    active_idx = np.nonzero(active)[0]
     sizes = np.full(batches, n_sets // batches, dtype=np.int64)
     sizes[: n_sets % batches] += 1
     sizes = sizes[sizes > 0]
-    offsets = id_offset + np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     tasks = pd.DataFrame(
         {
             # Named n_sets (not "count") — itertuples would shadow it with
             # the namedtuple .count method.
             "n_sets": sizes,
             "seed": [seed + 7919 * i for i in range(len(sizes))],
-            "id_offset": offsets,
+            "first_id": offsets,
         }
     )
     tasks_df = spark.createDataFrame(tasks).repartition(len(sizes))
@@ -180,7 +175,7 @@ def sample_sets_pairs(
                     roots,
                     int(row.n_sets),
                     int(row.seed),
-                    int(row.id_offset),
+                    int(row.first_id),
                 )
                 ids = np.concatenate(
                     [np.full(len(m), sid, dtype=np.int64) for sid, m in sets]
@@ -188,7 +183,4 @@ def sample_sets_pairs(
                 nodes = np.concatenate([m for _, m in sets])
                 yield pd.DataFrame({"set_id": ids, "node": nodes})
 
-    _ = active_idx  # driver-side sanity: at least one active node required
-    if len(active_idx) == 0:
-        raise ValueError("no active nodes to sample roots from")
     return tasks_df.mapInPandas(gen, schema=PAIRS_SCHEMA)

@@ -1,11 +1,13 @@
 """mRR-set sampling (paper §3.3): root-size law, Theorem 3.3 sandwich,
 RR-set truncation bias, and the distributed pairs path vs its oracle."""
+import importlib
+
 import numpy as np
-import pyspark.sql.functions as F
+import pandas as pd
 import pytest
 
 from repro.diffusion.propagate import (
-    exact_expected_truncated,
+    exact_expected_spread,
     spread_local,
     truncated,
 )
@@ -16,7 +18,14 @@ from repro.sampling.mrr import (
     sample_sets_local,
     sample_sets_pairs,
 )
-from repro.sampling.rr import sample_rr_local
+
+# repro.core re-exports a function named trim; fetch the module itself.
+trim_mod = importlib.import_module("repro.core.trim")
+
+
+def sample_rr_local(g, active, model, n_sets, seed):
+    """Single-root RR sets: the sampler's ``roots="rr"`` mode."""
+    return sample_sets_local(g, active, 1, model, n_sets, seed, roots="rr")
 
 
 @pytest.mark.parametrize("n_i,eta_i", [(10, 3), (100, 7), (4, 2), (1000, 999)])
@@ -61,13 +70,6 @@ def test_local_deterministic(small_cl_graph):
         np.testing.assert_array_equal(np.sort(ma), np.sort(mb))
 
 
-def test_set_ids_respect_offset(small_cl_graph):
-    g = small_cl_graph
-    active = np.ones(g.n, bool)
-    sets = sample_sets_local(g, active, 20, IC, 5, seed=1, id_offset=100)
-    assert [sid for sid, _ in sets] == [100, 101, 102, 103, 104]
-
-
 @pytest.mark.parametrize("model", [IC, LT])
 def test_rr_sets_single_root(small_cl_graph, model):
     g = small_cl_graph
@@ -88,7 +90,7 @@ def test_theorem_3_3_sandwich_ex23(ex23_graph):
     for v in range(4):
         hit = sum(1 for _, m in sets if v in m)
         est = eta * hit / n_sets  # E[Γ̃({v})]
-        exact = exact_expected_truncated(g, [v], eta)
+        exact = exact_expected_spread(g, [v], eta=eta)
         assert est <= exact * 1.05
         assert est >= (1 - 1 / np.e) * exact * 0.95
 
@@ -168,25 +170,25 @@ def test_spark_pairs_shape(spark, small_cl_graph, model):
     assert not pdf.duplicated(["set_id", "node"]).any()
 
 
-def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph):
-    """Λ_R(v) via Spark groupBy equals the SQL GROUP BY oracle."""
+def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph, monkeypatch):
+    """Λ_R(v) from the Spark venue's CSR pool equals the SQL GROUP BY
+    oracle over the same membership rows."""
+    monkeypatch.setattr(trim_mod, "SPARK_MIN_SETS", 1)
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    pairs = sample_sets_pairs(spark, g, active, 20, IC, 100, seed=11)
-    pdf = pairs.toPandas()
-    got = pairs.groupBy("node").agg(F.count("*").alias("cov"))
+    pdf = sample_sets_pairs(spark, g, active, 20, IC, 100, seed=11).toPandas()
+    indptr, members = trim_mod.sample_pool(
+        spark, g, active, 20, IC, 100, 11, roots="mrr"
+    )
+    np.testing.assert_array_equal(
+        np.diff(indptr), np.bincount(pdf["set_id"], minlength=100)
+    )
+    cov = np.bincount(members, minlength=g.n)
+    nodes = np.nonzero(cov)[0]
+    got = spark.createDataFrame(pd.DataFrame({"node": nodes, "cov": cov[nodes]}))
     assert_equivalent(
         got, "SELECT node, count(*) AS cov FROM pairs GROUP BY node", pairs=pdf
     )
-
-
-def test_spark_pairs_id_offset(spark, small_cl_graph):
-    g = small_cl_graph
-    active = np.ones(g.n, bool)
-    pairs = sample_sets_pairs(
-        spark, g, active, 20, IC, 10, seed=12, id_offset=500
-    ).toPandas()
-    assert pairs["set_id"].min() >= 500 and pairs["set_id"].max() <= 509
 
 
 def test_spark_rejects_empty_active(spark, small_cl_graph):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.diffusion.propagate import (
     exact_expected_spread,
-    exact_expected_truncated,
     spread_local,
     spread_spark,
     truncated,
@@ -129,7 +128,7 @@ def test_exact_expected_spread_example23(ex23_graph):
 def test_exact_expected_truncated_example23(ex23_graph):
     """Paper Example 2.3: E[Γ] = (1.75, 2, 2, 1) with η = 2, so the
     truncated-greedy choice is v2 or v3, not v1."""
-    vals = [exact_expected_truncated(ex23_graph, [v], eta=2) for v in range(4)]
+    vals = [exact_expected_spread(ex23_graph, [v], eta=2) for v in range(4)]
     assert vals == pytest.approx([1.75, 2.0, 2.0, 1.0])
     assert np.argmax(vals) in (1, 2)
 

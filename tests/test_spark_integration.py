@@ -1,4 +1,4 @@
-"""Distributed-path integration: Spark fan-out inside TRIM/TRIM-B/ASTI.
+"""Distributed-path integration: Spark fan-out inside TRIM (any b) and ASTI.
 
 The production threshold only engages executors for large batches; here
 we force the Spark branch (monkeypatched threshold) and assert it makes
@@ -13,10 +13,8 @@ import pytest
 # plain attribute imports would resolve to the functions; go via
 # importlib to get the modules for monkeypatching.
 trim_mod = importlib.import_module("repro.core.trim")
-trim_b_mod = importlib.import_module("repro.core.trim_b")
 from repro.core.asti import asti
 from repro.core.trim import trim
-from repro.core.trim_b import trim_b
 from repro.diffusion.realization import IC
 from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
 
@@ -24,19 +22,18 @@ from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
 @pytest.fixture()
 def force_spark(monkeypatch):
     monkeypatch.setattr(trim_mod, "SPARK_MIN_SETS", 1)
-    monkeypatch.setattr(trim_b_mod, "SPARK_MIN_SETS", 1)
 
 
 def test_trim_spark_branch(spark, small_cl_graph, force_spark):
     g = small_cl_graph
     res = trim(spark, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=1)
-    assert 0 <= res.node < g.n
+    assert 0 <= res.nodes[0] < g.n
     assert res.n_sets > 0
 
 
 def test_trim_b_spark_branch(spark, small_cl_graph, force_spark):
     g = small_cl_graph
-    res = trim_b(spark, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=2, b=3)
+    res = trim(spark, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=2, b=3)
     assert len(res.nodes) == 3
 
 
@@ -69,9 +66,9 @@ def test_spark_and_local_sampling_statistically_agree(spark, small_cl_graph):
 def test_trim_spark_decision_matches_local_quality(spark, small_cl_graph, force_spark):
     g = small_cl_graph
     res_spark = trim(spark, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5)
-    res_local = trim(None, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5, use_spark=False)
+    res_local = trim(None, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5)
     # Both pick a top hub (same graph, same schedule); accept any node
     # whose out-degree is within the top decile to absorb sampling noise.
     cutoff = np.quantile(g.outdeg, 0.9)
-    assert g.outdeg[res_spark.node] >= cutoff
-    assert g.outdeg[res_local.node] >= cutoff
+    assert g.outdeg[res_spark.nodes[0]] >= cutoff
+    assert g.outdeg[res_local.nodes[0]] >= cutoff

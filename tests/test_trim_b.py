@@ -4,9 +4,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.core.trim import rho
-from repro.core.trim_b import greedy_max_coverage, trim_b
+from repro.core.trim import greedy_max_coverage, rho, trim
 from repro.diffusion.realization import IC, LT
+from tests.pools import csr_pool
+
+
+def _greedy(sets, n, b):
+    """Greedy picks and the number of sets they cover."""
+    chosen, curve = greedy_max_coverage(*csr_pool(sets), n, b)
+    return chosen, curve[-1] if curve else 0
 
 
 def _brute_force_best(sets, n, b):
@@ -27,7 +33,7 @@ def test_greedy_vs_brute_force(seed, b):
         np.unique(rng.integers(0, n, size=rng.integers(1, 4)))
         for _ in range(25)
     ]
-    chosen, covered = greedy_max_coverage(sets, n, b)
+    chosen, covered = _greedy(sets, n, b)
     best = _brute_force_best(sets, n, b)
     assert covered >= rho(b) * best - 1e-9
     assert len(chosen) == len(set(chosen)) <= b
@@ -35,21 +41,59 @@ def test_greedy_vs_brute_force(seed, b):
 
 def test_greedy_first_pick_is_max_coverage():
     sets = [np.array([0]), np.array([0, 1]), np.array([2])]
-    chosen, covered = greedy_max_coverage(sets, 3, 1)
+    chosen, covered = _greedy(sets, 3, 1)
     assert chosen == [0]
     assert covered == 2
 
 
 def test_greedy_stops_when_everything_covered():
     sets = [np.array([1]), np.array([1, 2])]
-    chosen, covered = greedy_max_coverage(sets, 5, 4)
+    chosen, covered = _greedy(sets, 5, 4)
     assert covered == 2
     assert len(chosen) <= 2  # no pointless zero-gain picks
 
 
 def test_greedy_empty_sets():
-    chosen, covered = greedy_max_coverage([], 5, 2)
+    chosen, covered = _greedy([], 5, 2)
     assert chosen == [] and covered == 0
+
+
+def _reference_greedy(sets, n, k):
+    """From-scratch greedy: recount every node's gain per pick, lowest id
+    wins ties, stop at zero gain."""
+    covered = [False] * len(sets)
+    picks, curve = [], []
+    for _ in range(min(k, n)):
+        gains = [
+            sum(1 for si, s in enumerate(sets) if not covered[si] and v in s.tolist())
+            for v in range(n)
+        ]
+        best = max(gains)
+        if best <= 0:
+            break
+        v = gains.index(best)
+        for si, s in enumerate(sets):
+            if v in s.tolist():
+                covered[si] = True
+        picks.append(v)
+        curve.append(sum(covered))
+    return picks, curve
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [1, 4, None])
+def test_greedy_matches_reference_with_ties(seed, k):
+    """Same picks and curve as the reference on pools with tied counts
+    (k=None runs to exhaustion, as ATEUC does)."""
+    rng = np.random.default_rng(100 + seed)
+    n = 12
+    sets = [
+        np.unique(rng.integers(0, n, size=rng.integers(1, 4)))
+        for _ in range(40)
+    ]
+    k = n if k is None else k
+    picks, curve = greedy_max_coverage(*csr_pool(sets), n, k)
+    assert (picks, curve) == _reference_greedy(sets, n, k)
 
 
 @pytest.mark.parametrize("b", [2, 4])
@@ -58,7 +102,7 @@ def test_trim_b_returns_b_active_nodes(small_cl_graph, b, model):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[:30] = False
-    res = trim_b(None, g, active, 20, model, eps=0.5, seed=1, b=b, use_spark=False)
+    res = trim(None, g, active, 20, model, eps=0.5, seed=1, b=b)
     assert len(res.nodes) == b
     assert len(set(res.nodes)) == b
     assert all(active[v] for v in res.nodes)
@@ -66,13 +110,13 @@ def test_trim_b_returns_b_active_nodes(small_cl_graph, b, model):
 
 def test_trim_b_b1_matches_trim_choice_on_ex23(ex23_graph):
     # Same admissible set as TRIM (see test_trim_guarantee_on_ex23).
-    res = trim_b(None, ex23_graph, np.ones(4, bool), 2, IC, eps=0.1, seed=2, b=1, use_spark=False)
+    res = trim(None, ex23_graph, np.ones(4, bool), 2, IC, eps=0.1, seed=2, b=1)
     assert res.nodes[0] in (0, 1, 2)
 
 
 def test_trim_b_bookkeeping(small_cl_graph):
     g = small_cl_graph
-    res = trim_b(None, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=3, b=4, use_spark=False)
+    res = trim(None, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=3, b=4)
     assert res.n_sets > 0 and res.iterations >= 1
     assert 0 <= res.coverage <= res.n_sets
     assert res.est_truncated_spread == pytest.approx(15 * res.coverage / res.n_sets)
@@ -82,20 +126,20 @@ def test_trim_b_caps_batch_at_residual_size(small_cl_graph):
     g = small_cl_graph
     active = np.zeros(g.n, bool)
     active[:3] = True
-    res = trim_b(None, g, active, 3, IC, eps=0.5, seed=4, b=8, use_spark=False)
+    res = trim(None, g, active, 3, IC, eps=0.5, seed=4, b=8)
     assert len(res.nodes) == 3
     assert all(active[v] for v in res.nodes)
 
 
 def test_trim_b_empty_residual_raises(small_cl_graph):
     with pytest.raises(ValueError):
-        trim_b(None, small_cl_graph, np.zeros(small_cl_graph.n, bool), 5, IC, 0.5, 0, b=2)
+        trim(None, small_cl_graph, np.zeros(small_cl_graph.n, bool), 5, IC, 0.5, 0, b=2)
 
 
 def test_trim_b_padding_when_coverage_exhausted(line_graph):
     """On a tiny graph where few nodes cover everything, the batch is
     padded with high-out-degree active nodes rather than short-changed."""
     g = line_graph
-    res = trim_b(None, g, np.ones(g.n, bool), 2, IC, eps=0.5, seed=5, b=4, use_spark=False)
+    res = trim(None, g, np.ones(g.n, bool), 2, IC, eps=0.5, seed=5, b=4)
     assert len(res.nodes) == 4
     assert len(set(res.nodes)) == 4
