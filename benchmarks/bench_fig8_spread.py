@@ -4,8 +4,7 @@ ASTI vs ATEUC achieved spread over realizations on nethept_lite: the
 adaptive runs always reach η and hug it; the non-adaptive set misses η
 on some realizations and overshoots on others (paper §6.4).
 """
-from benchmarks._util import save
-from repro.experiments.tables import fig8_spread
+from repro.experiments.tables import fig8_spread, save_table
 
 N_REALIZATIONS = 10
 
@@ -25,6 +24,6 @@ def test_fig8_spread(benchmark, spark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     pdf = result["pdf"]
-    save("fig8_spread", pdf)
+    save_table("fig8_spread", pdf)
     asti_rows = pdf[pdf.algo == "asti"]
     assert (asti_rows["spread"] >= asti_rows["eta"]).all()

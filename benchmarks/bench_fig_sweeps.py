@@ -7,8 +7,7 @@ slower baseline).
 """
 import pandas as pd
 
-from benchmarks._util import save
-from repro.experiments.tables import sweep
+from repro.experiments.tables import save_table, sweep
 
 N_REALIZATIONS = 2
 MAIN_ALGOS = ["asti", "asti-2", "asti-4", "asti-8", "ateuc"]
@@ -38,7 +37,7 @@ def test_fig45_sweep_ic(benchmark, spark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     pdf = result["pdf"]
-    save("fig_sweeps_ic", pdf)
+    save_table("fig_sweeps_ic", pdf)
     adaptive = pdf[pdf.algo.str.startswith(("asti", "adaptim"))]
     assert adaptive["meets_all"].all(), "adaptive algorithms always reach η"
 
@@ -58,5 +57,5 @@ def test_fig67_sweep_lt(benchmark, spark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     pdf = result["pdf"]
-    save("fig_sweeps_lt", pdf)
+    save_table("fig_sweeps_lt", pdf)
     assert pdf[pdf.algo.str.startswith("asti")]["meets_all"].all()

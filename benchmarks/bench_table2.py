@@ -1,6 +1,5 @@
 """Benchmark + regeneration of paper Table 2 (dataset details)."""
-from benchmarks._util import save
-from repro.experiments.tables import table2
+from repro.experiments.tables import save_table, table2
 
 
 def test_table2(benchmark, spark):
@@ -12,6 +11,6 @@ def test_table2(benchmark, spark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     pdf = result["pdf"]
-    save("table2", pdf)
+    save_table("table2", pdf)
     assert len(pdf) == 4
     assert (pdf["lwcc_size"] <= pdf["n"]).all()

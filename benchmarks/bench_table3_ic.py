@@ -1,7 +1,6 @@
 """Benchmark + regeneration of paper Table 3, IC model (all datasets)."""
-from benchmarks._util import save
 from repro.experiments.harness import records_to_pandas
-from repro.experiments.tables import table3
+from repro.experiments.tables import save_table, table3
 
 N_REALIZATIONS = 3
 
@@ -22,8 +21,8 @@ def test_table3_ic(benchmark, spark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     pdf = result["pdf"]
-    save("table3_ic", pdf)
-    save("table3_ic_runs", records_to_pandas(result["records"]))
+    save_table("table3_ic", pdf)
+    save_table("table3_ic_runs", records_to_pandas(result["records"]))
     assert len(pdf) == 4  # one row per dataset
     # ASTI rows always meet the threshold (ASM contract).
     runs = records_to_pandas(result["records"])

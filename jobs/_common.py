@@ -2,15 +2,11 @@
 
 Each job builds its own SparkSession (jobs are standalone processes;
 tests instead use the session-scoped ``spark`` fixture) and writes its
-result table under ``results/``.
+result table under ``results/`` with ``repro.experiments.tables.save_table``.
 """
 import os
-import sys
-from pathlib import Path
 
 from pyspark.sql import SparkSession
-
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 def get_spark(app: str) -> SparkSession:
@@ -26,11 +22,3 @@ def get_spark(app: str) -> SparkSession:
     s.sparkContext.setLogLevel("ERROR")
     return s
 
-
-def emit(name: str, pdf) -> None:
-    """Print the table and persist it as CSV under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / f"{name}.csv"
-    pdf.to_csv(out, index=False)
-    print(pdf.to_string(index=False))
-    print(f"[{name}] written to {out}", file=sys.stderr)

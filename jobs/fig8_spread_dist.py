@@ -10,16 +10,16 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import emit, get_spark  # noqa: E402
+from _common import get_spark  # noqa: E402
 
-from repro.experiments.tables import fig8_spread  # noqa: E402
+from repro.experiments.tables import fig8_spread, save_table  # noqa: E402
 
 
 def main() -> None:
     n_real = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     spark = get_spark("fig8-spread-dist")
     try:
-        emit("fig8_spread", fig8_spread(spark, n_realizations=n_real))
+        save_table("fig8_spread", fig8_spread(spark, n_realizations=n_real))
     finally:
         spark.stop()
 

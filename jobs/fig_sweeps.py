@@ -10,11 +10,11 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import emit, get_spark  # noqa: E402
+from _common import get_spark  # noqa: E402
 
 import pandas as pd  # noqa: E402
 
-from repro.experiments.tables import sweep  # noqa: E402
+from repro.experiments.tables import save_table, sweep  # noqa: E402
 
 
 def main() -> None:
@@ -41,7 +41,7 @@ def main() -> None:
             model=model,
             n_realizations=n_real,
         )
-        emit(
+        save_table(
             f"fig_sweeps_{model.lower()}",
             pd.concat([main_part, adaptim_part], ignore_index=True),
         )

@@ -6,15 +6,15 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import emit, get_spark  # noqa: E402
+from _common import get_spark  # noqa: E402
 
-from repro.experiments.tables import table2  # noqa: E402
+from repro.experiments.tables import save_table, table2  # noqa: E402
 
 
 def main() -> None:
     spark = get_spark("table2-datasets")
     try:
-        emit("table2", table2(spark))
+        save_table("table2", table2(spark))
     finally:
         spark.stop()
 

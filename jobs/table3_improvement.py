@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import emit, get_spark  # noqa: E402
+from _common import get_spark  # noqa: E402
 
 from repro.experiments.harness import records_to_pandas  # noqa: E402
-from repro.experiments.tables import table3  # noqa: E402
+from repro.experiments.tables import save_table, table3  # noqa: E402
 
 
 def main() -> None:
@@ -18,8 +18,8 @@ def main() -> None:
     try:
         records = []
         pdf = table3(spark, n_realizations=n_real, records_out=records)
-        emit("table3", pdf)
-        emit("table3_runs", records_to_pandas(records))
+        save_table("table3", pdf)
+        save_table("table3_runs", records_to_pandas(records))
     finally:
         spark.stop()
 

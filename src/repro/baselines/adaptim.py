@@ -15,6 +15,7 @@ from pyspark.sql import SparkSession
 from repro.core.asti import AstiResult, asti
 from repro.core.trim import trim
 from repro.graphs.csr import GraphCSR
+from repro.sampling.mrr import Seed
 
 
 def _adaptim_selector(spark, g, active, eta_i, model, eps, seed):
@@ -47,7 +48,7 @@ def adaptim(
     realization_seed: int,
     *,
     eps: float = 0.5,
-    seed: int = 0,
+    seed: Seed = 0,
     realization=None,
 ) -> AstiResult:
     """Run the ADAPTIM policy until η nodes are activated."""

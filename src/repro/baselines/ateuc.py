@@ -24,6 +24,7 @@ from pyspark.sql import SparkSession
 from repro.core.trim import EMPTY_POOL, extend_pool, greedy_max_coverage, sample_pool
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_upper_bound
+from repro.sampling.mrr import Seed, substream
 
 # See the comment at the S_u rule below.
 SAFETY_MARGIN = 1.15
@@ -50,7 +51,7 @@ def ateuc(
     eta: int,
     model: str,
     *,
-    seed: int = 0,
+    seed: Seed = 0,
     theta0: int = 256,
     max_doublings: int = 12,
 ) -> AteucResult:
@@ -68,7 +69,7 @@ def ateuc(
         need = theta - n_sets
         if need > 0:
             more = sample_pool(
-                spark, g, active, 1, model, need, seed + 15485863 * t, roots="rr"
+                spark, g, active, 1, model, need, substream(seed, t), roots="rr"
             )
             pool = extend_pool(pool, more)
             n_sets += need

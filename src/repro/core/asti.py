@@ -18,6 +18,7 @@ from repro.diffusion.propagate import spread_local
 from repro.diffusion.realization import Realization, sample_realization
 from repro.graphs.csr import GraphCSR
 from repro.core.trim import trim
+from repro.sampling.mrr import Seed, substream
 
 # A selector maps (spark, g, active, eta_i, model, eps, seed) to the
 # chosen batch plus the number of sample sets it generated.
@@ -71,7 +72,7 @@ def asti(
     *,
     eps: float = 0.5,
     b: int = 1,
-    seed: int = 0,
+    seed: Seed = 0,
     selector: Selector | None = None,
     realization: Realization | None = None,
 ) -> AstiResult:
@@ -97,7 +98,7 @@ def asti(
         t0 = time.perf_counter()
         eta_i = eta - activated
         n_i = int(active.sum())
-        batch, n_sets = select(spark, g, active, eta_i, model, eps, seed + 7 * i)
+        batch, n_sets = select(spark, g, active, eta_i, model, eps, substream(seed, i))
         # Observe: actual influence of the batch among inactive nodes,
         # equivalent to full-graph live-edge reachability (tested).
         reached = spread_local(real, batch, active)

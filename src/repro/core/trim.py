@@ -25,7 +25,7 @@ from pyspark.sql import SparkSession
 
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
-from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
+from repro.sampling.mrr import Seed, sample_sets_local, sample_sets_pairs, substream
 
 # Below this many sets, executor fan-out costs more than it saves
 # (measured ~0.4 s/job overhead vs milliseconds of local sampling at
@@ -97,7 +97,7 @@ def sample_pool(
     eta_i: int,
     model: str,
     n_sets: int,
-    seed: int,
+    seed: Seed,
     *,
     roots: str,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +106,8 @@ def sample_pool(
     Set j's members are ``members[indptr[j]:indptr[j + 1]]``. Without
     Spark (``spark=None``), or below ``SPARK_MIN_SETS``, the sets are
     sampled locally; otherwise Spark executors sample them and the
-    membership rows are collected and stably sorted by set id.
+    membership rows are collected and stably sorted by set id. The pool
+    depends only on the arguments, not on the venue.
     """
     if spark is None or n_sets < SPARK_MIN_SETS:
         sets = sample_sets_local(g, active, eta_i, model, n_sets, seed, roots=roots)
@@ -199,7 +200,7 @@ def trim(
     eta_i: int,
     model: str,
     eps: float,
-    seed: int,
+    seed: Seed,
     *,
     b: int = 1,
     roots: str = "mrr",
@@ -210,6 +211,7 @@ def trim(
     ``roots="rr"`` with an explicit ``delta`` turns this into ADAPTIM's
     per-round untruncated selection (coverage logic is identical; only
     the sampler and the estimator scale differ — handled by callers).
+    Iteration ``t`` samples its new sets from ``substream(seed, t)``.
     """
     n_i = int(active.sum())
     if n_i == 0:
@@ -224,7 +226,7 @@ def trim(
         need = sched.theta_o * (2 ** (t - 1)) - n_sets
         if need > 0:
             more = sample_pool(
-                spark, g, active, eta_i, model, need, seed + 104729 * t, roots=roots
+                spark, g, active, eta_i, model, need, substream(seed, t), roots=roots
             )
             pool = extend_pool(pool, more)
             n_sets += need

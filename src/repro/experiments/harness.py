@@ -10,6 +10,7 @@ every realization, which is exactly how the paper's N/A entries arise.
 import time
 import zlib
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -20,7 +21,8 @@ from repro.core.asti import asti
 from repro.diffusion.propagate import spread_local
 from repro.diffusion.realization import sample_realization
 from repro.graphs.csr import GraphCSR
-from repro.graphs.generator import DATASETS, dataset_csr
+from repro.graphs.generator import dataset_csr
+from repro.sampling.mrr import substream
 
 ADAPTIVE_ALGOS = ("asti", "asti-2", "asti-4", "asti-8", "adaptim")
 ALGOS = ADAPTIVE_ALGOS + ("ateuc",)
@@ -72,63 +74,38 @@ def run_cell(
         sample_realization(g, model, realization_seed(dataset, model, r))
         for r in range(n_realizations)
     ]
-    records: list[RunRecord] = []
+
+    def record(r: int, n_seeds: int, spread: int, time_s: float) -> RunRecord:
+        return RunRecord(
+            dataset=dataset,
+            model=model,
+            algo=algo,
+            eta_frac=eta_frac,
+            eta=eta,
+            realization=r,
+            n_seeds=n_seeds,
+            spread=spread,
+            time_s=time_s,
+            meets_threshold=spread >= eta,
+        )
+
     if algo == "ateuc":
         t0 = time.perf_counter()
         sel = ateuc(spark, g, eta, model, seed=seed)
         select_time = time.perf_counter() - t0
-        for r, real in enumerate(reals):
-            spread = len(spread_local(real, sel.seeds))
-            records.append(
-                RunRecord(
-                    dataset=dataset,
-                    model=model,
-                    algo=algo,
-                    eta_frac=eta_frac,
-                    eta=eta,
-                    realization=r,
-                    n_seeds=sel.n_seeds,
-                    spread=spread,
-                    time_s=select_time,
-                    meets_threshold=spread >= eta,
-                )
-            )
-        return records
-    b = 1
-    if algo.startswith("asti-"):
-        b = int(algo.split("-")[1])
+        return [
+            record(r, sel.n_seeds, len(spread_local(real, sel.seeds)), select_time)
+            for r, real in enumerate(reals)
+        ]
+    b = int(algo.split("-")[1]) if algo.startswith("asti-") else 1
+    policy = adaptim if algo == "adaptim" else partial(asti, b=b)
+    records = []
     for r, real in enumerate(reals):
         t0 = time.perf_counter()
-        if algo == "adaptim":
-            res = adaptim(
-                spark, g, eta, model, 0, eps=eps, seed=seed + r, realization=real
-            )
-        else:
-            res = asti(
-                spark,
-                g,
-                eta,
-                model,
-                0,
-                eps=eps,
-                b=b,
-                seed=seed + r,
-                realization=real,
-            )
-        records.append(
-            RunRecord(
-                dataset=dataset,
-                model=model,
-                algo=algo,
-                eta_frac=eta_frac,
-                eta=eta,
-                realization=r,
-                n_seeds=res.n_seeds,
-                spread=res.spread,
-                time_s=time.perf_counter() - t0,
-                meets_threshold=res.spread >= eta,
-            )
+        res = policy(
+            spark, g, eta, model, 0, eps=eps, seed=substream(seed, r), realization=real
         )
+        records.append(record(r, res.n_seeds, res.spread, time.perf_counter() - t0))
     return records
 
 
@@ -137,10 +114,6 @@ def eta_fracs(dataset: str) -> list[float]:
     if dataset.startswith("livejournal"):
         return [0.01, 0.02, 0.03, 0.04, 0.05]
     return [0.01, 0.05, 0.1, 0.15, 0.2]
-
-
-def all_datasets() -> list[str]:
-    return list(DATASETS)
 
 
 def records_to_pandas(records: list[RunRecord]):

@@ -9,7 +9,11 @@
   behind paper Figures 4–7).
 - ``fig8_spread`` — per-realization achieved spread for ASTI vs ATEUC
   (paper Figure 8).
+- ``save_table``  — the one writer (benchmarks and ``jobs/``) of
+  ``results/<name>.csv``.
 """
+from pathlib import Path
+
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -147,3 +151,13 @@ def fig8_spread(
                 )
             )
     return records_to_pandas(records)
+
+
+RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
+
+
+def save_table(name: str, pdf: pd.DataFrame) -> None:
+    """Print ``pdf`` and write it to ``results/<name>.csv``."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    pdf.to_csv(RESULTS_DIR / f"{name}.csv", index=False)
+    print(f"[{name}]\n{pdf.to_string(index=False)}")

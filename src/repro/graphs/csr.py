@@ -56,7 +56,8 @@ class GraphCSR:
         ``probs`` overrides the default weighted-cascade assignment
         ``p(u, v) = wc_scale/indeg(v)`` (aligned with the row order of
         ``edges``). ``wc_scale`` is the lite-scale damping documented in
-        ``graphs.generator.DatasetSpec``.
+        ``graphs.generator.DatasetSpec``. Raises ``ValueError`` if any
+        edge probability falls outside [0, 1].
         """
         src = edges["src"].to_numpy(np.int64)
         dst = edges["dst"].to_numpy(np.int64)
@@ -70,6 +71,8 @@ class GraphCSR:
                 p_edge = wc_scale / indeg[dst]
         else:
             p_edge = np.asarray(probs, dtype=np.float64)
+        if not np.all((p_edge >= 0) & (p_edge <= 1)):
+            raise ValueError("edge probabilities must lie in [0, 1]")
         # Forward CSR, sorted by src.
         order_f = np.argsort(src, kind="stable")
         fwd_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -109,16 +112,12 @@ class GraphCSR:
         return self.rev_indices[self.rev_indptr[v] : self.rev_indptr[v + 1]]
 
     def payload(self) -> dict:
-        """The plain-numpy dict that gets broadcast to executors."""
+        """What executors read: ``n`` and the reverse CSR (broadcast once)."""
         return {
             "n": self.n,
             "rev_indptr": self.rev_indptr,
             "rev_indices": self.rev_indices,
             "rev_probs": self.rev_probs,
-            "fwd_indptr": self.fwd_indptr,
-            "fwd_indices": self.fwd_indices,
-            "fwd_probs": self.fwd_probs,
-            "indeg": self.indeg,
         }
 
     def broadcast(self, spark: SparkSession):

@@ -13,10 +13,13 @@ Single-root RR sets (Borgs et al.) for the baselines are the
 ``roots="rr"`` mode of the same machinery: ``k = 1``, which gives the
 unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 
-The distributed path (``sample_sets_pairs``) fans a task DataFrame out
-with ``mapInPandas`` over a broadcast CSR payload and returns
-``(set_id, node)`` membership rows; ``core/trim.sample_pool`` chooses
-the venue and turns either output into one CSR pool.
+Sets are drawn in blocks of ``BLOCK`` ids; block ``j`` is seeded by the
+stream ``substream(seed, j)`` alone, so set ``i`` is the same whether
+the driver (``sample_sets_local``) or a Spark task (``sample_sets_pairs``,
+one ``mapInPandas`` row per block over a broadcast reverse CSR) draws
+it. ``core/trim.sample_pool`` chooses the venue and turns either output
+into one CSR pool. ``substream`` is the one seed-derivation rule: every
+caller appends its own key (run, round, iteration, block) to the path.
 """
 from typing import Iterator
 
@@ -31,6 +34,19 @@ from repro.graphs.csr import GraphCSR
 PAIRS_SCHEMA = StructType(
     [StructField("set_id", LongType()), StructField("node", LongType())]
 )
+
+# Sets are sampled in blocks of this many ids; block j is seeded by
+# (seed, j) alone, so the sets never depend on the venue or partitioning.
+BLOCK = 256
+
+Seed = int | np.random.SeedSequence
+
+
+def substream(seed: Seed, *key: int) -> np.random.SeedSequence:
+    """The independent stream at path ``key`` below ``seed``."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key)
+    return np.random.SeedSequence(seed, spawn_key=key)
 
 
 def sample_root_size(n_i: int, eta_i: int, rng: np.random.Generator) -> int:
@@ -78,31 +94,28 @@ def _reverse_bfs(
     return np.fromiter(visited, dtype=np.int64, count=len(visited))
 
 
-def _generate_batch(
+def _sample_block(
     payload: dict,
     active: np.ndarray,
-    active_idx: np.ndarray,
     eta_i: int,
     model: str,
     roots: str,
-    count: int,
-    seed: int,
-    first_id: int = 0,
+    n_sets: int,
+    seed: Seed,
+    j: int,
 ) -> list[tuple[int, np.ndarray]]:
-    """Generate ``count`` sets locally; list of (set_id, member array)."""
-    rng = np.random.default_rng(seed)
+    """Block ``j`` of ``n_sets`` sets: ids ``j·BLOCK …`` (below ``n_sets``),
+    drawn from the stream ``(seed, j)`` only; list of (set_id, members)."""
+    if roots not in ("mrr", "rr"):
+        raise ValueError(f"unknown roots mode {roots!r}")
+    rng = np.random.default_rng(substream(seed, j))
+    active_idx = np.nonzero(active)[0]
     n_i = len(active_idx)
     out = []
-    for j in range(count):
-        if roots == "mrr":
-            k = sample_root_size(n_i, eta_i, rng)
-        elif roots == "rr":
-            k = 1
-        else:
-            raise ValueError(f"unknown roots mode {roots!r}")
+    for set_id in range(j * BLOCK, min((j + 1) * BLOCK, n_sets)):
+        k = sample_root_size(n_i, eta_i, rng) if roots == "mrr" else 1
         root_nodes = active_idx[rng.choice(n_i, size=k, replace=False)]
-        members = _reverse_bfs(payload, active, root_nodes, rng, model)
-        out.append((first_id + j, members))
+        out.append((set_id, _reverse_bfs(payload, active, root_nodes, rng, model)))
     return out
 
 
@@ -112,15 +125,17 @@ def sample_sets_local(
     eta_i: int,
     model: str,
     n_sets: int,
-    seed: int,
+    seed: Seed,
     *,
     roots: str = "mrr",
 ) -> list[tuple[int, np.ndarray]]:
-    """Driver-local generation (tests and tiny rounds)."""
-    active_idx = np.nonzero(active)[0]
-    return _generate_batch(
-        g.payload(), active, active_idx, eta_i, model, roots, n_sets, seed
-    )
+    """Sets ``0 .. n_sets − 1`` sampled on the driver, block by block."""
+    payload = g.payload()
+    return [
+        s
+        for j in range(-(-n_sets // BLOCK))
+        for s in _sample_block(payload, active, eta_i, model, roots, n_sets, seed, j)
+    ]
 
 
 def sample_sets_pairs(
@@ -130,57 +145,41 @@ def sample_sets_pairs(
     eta_i: int,
     model: str,
     n_sets: int,
-    seed: int,
+    seed: Seed,
     *,
     roots: str = "mrr",
 ) -> DataFrame:
     """Distributed generation: DataFrame of (set_id, node) membership rows.
 
-    One task row per batch; each executor-side task traverses the
-    broadcast CSR payload. Set ids are ``0 .. n_sets − 1``.
+    One task row per block, in contiguous ranges over
+    ``min(n_blocks, 2·defaultParallelism)`` partitions; each task
+    traverses the broadcast CSR payload. Set ids are ``0 .. n_sets − 1``
+    and every set equals ``sample_sets_local``'s at the same seed,
+    whatever the partitioning.
     """
     if not active.any():
         raise ValueError("no active nodes to sample roots from")
-    batches = max(1, min(n_sets, 2 * spark.sparkContext.defaultParallelism))
+    n_blocks = -(-n_sets // BLOCK)
     bc = g.broadcast(spark)
     active_bytes = np.packbits(active)
     n = g.n
-    sizes = np.full(batches, n_sets // batches, dtype=np.int64)
-    sizes[: n_sets % batches] += 1
-    sizes = sizes[sizes > 0]
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    tasks = pd.DataFrame(
-        {
-            # Named n_sets (not "count") — itertuples would shadow it with
-            # the namedtuple .count method.
-            "n_sets": sizes,
-            "seed": [seed + 7919 * i for i in range(len(sizes))],
-            "first_id": offsets,
-        }
-    )
-    tasks_df = spark.createDataFrame(tasks).repartition(len(sizes))
+    parts = min(n_blocks, 2 * spark.sparkContext.defaultParallelism)
+    tasks_df = spark.range(0, n_blocks, 1, parts).toDF("block")
 
-    def gen(batches_iter: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def gen(blocks: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         payload = bc.value
         act = np.unpackbits(active_bytes, count=n).astype(bool)
-        act_idx = np.nonzero(act)[0]
-        for pdf in batches_iter:
-            for row in pdf.itertuples(index=False):
-                sets = _generate_batch(
-                    payload,
-                    act,
-                    act_idx,
-                    eta_i,
-                    model,
-                    roots,
-                    int(row.n_sets),
-                    int(row.seed),
-                    int(row.first_id),
+        for pdf in blocks:
+            ids, members = zip(
+                *(
+                    s
+                    for j in pdf["block"].tolist()
+                    for s in _sample_block(payload, act, eta_i, model, roots, n_sets, seed, j)
                 )
-                ids = np.concatenate(
-                    [np.full(len(m), sid, dtype=np.int64) for sid, m in sets]
-                )
-                nodes = np.concatenate([m for _, m in sets])
-                yield pd.DataFrame({"set_id": ids, "node": nodes})
+            )
+            sizes = [len(m) for m in members]
+            yield pd.DataFrame(
+                {"set_id": np.repeat(ids, sizes), "node": np.concatenate(members)}
+            )
 
     return tasks_df.mapInPandas(gen, schema=PAIRS_SCHEMA)

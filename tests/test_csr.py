@@ -64,17 +64,22 @@ def test_edges_pdf_round_trip(diamond):
 
 
 def test_payload_keys(diamond):
-    payload = diamond.payload()
-    assert {
-        "n",
-        "rev_indptr",
-        "rev_indices",
-        "rev_probs",
-        "fwd_indptr",
-        "fwd_indices",
-        "fwd_probs",
-        "indeg",
-    } <= set(payload)
+    # Executors only run the reverse BFS, so only the reverse CSR ships.
+    assert set(diamond.payload()) == {"n", "rev_indptr", "rev_indices", "rev_probs"}
+
+
+@pytest.mark.parametrize("probs", [[0.5, 1.5], [-0.1, 0.5], [np.nan, 0.5]])
+def test_rejects_explicit_probs_outside_unit_interval(probs):
+    edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        GraphCSR.from_edges(edges, n=3, probs=np.array(probs))
+
+
+def test_rejects_wc_scale_above_one():
+    # Node 1 has a single in-edge, so its WC probability is wc_scale itself.
+    edges = pd.DataFrame({"src": [0, 0], "dst": [1, 2]})
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        GraphCSR.from_edges(edges, n=3, wc_scale=1.5)
 
 
 @pytest.mark.parametrize("name", list(DATASETS))

@@ -14,9 +14,11 @@ from repro.diffusion.propagate import (
 from repro.diffusion.realization import IC, LT, sample_realization
 from repro.oracle import assert_equivalent
 from repro.sampling.mrr import (
+    BLOCK,
     sample_root_size,
     sample_sets_local,
     sample_sets_pairs,
+    substream,
 )
 
 # repro.core re-exports a function named trim; fetch the module itself.
@@ -68,6 +70,51 @@ def test_local_deterministic(small_cl_graph):
     for (ia, ma), (ib, mb) in zip(a, b):
         assert ia == ib
         np.testing.assert_array_equal(np.sort(ma), np.sort(mb))
+
+
+def test_sets_do_not_depend_on_the_pool_size(small_cl_graph):
+    """Set j comes from block j // BLOCK, seeded by (seed, j // BLOCK)
+    alone, so a smaller pool is a prefix of a larger one."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    big = sample_sets_local(g, active, 20, IC, BLOCK + 40, seed=9)
+    for n_sets in (7, BLOCK, BLOCK + 1):
+        small = sample_sets_local(g, active, 20, IC, n_sets, seed=9)
+        assert len(small) == n_sets
+        for (ia, ma), (ib, mb) in zip(small, big):
+            assert ia == ib
+            np.testing.assert_array_equal(ma, mb)
+
+
+def test_old_additive_collision_now_distinct():
+    """The retired scheme gave realization r, round i the seed
+    seed + r + 7·i, so (r=7, i=1) and (r=0, i=2) shared a stream."""
+    assert 0 + 7 + 7 * 1 == 0 + 0 + 7 * 2
+    a = substream(substream(0, 7), 1)
+    b = substream(substream(0, 0), 2)
+    assert not np.array_equal(a.generate_state(4), b.generate_state(4))
+    assert np.random.default_rng(a).random() != np.random.default_rng(b).random()
+
+
+def test_streams_distinct_over_key_grid():
+    """(run, round, iteration, block) paths, built the way the harness,
+    ASTI, TRIM and the sampler nest them, never share a state."""
+    states = set()
+    for r in range(10):
+        for i in range(1, 6):
+            for t in range(1, 5):
+                for j in range(4):
+                    ss = substream(substream(substream(substream(3, r), i), t), j)
+                    assert ss.spawn_key == (r, i, t, j)
+                    states.add(ss.generate_state(4).tobytes())
+    assert len(states) == 10 * 5 * 4 * 4
+
+
+def test_key_length_matters():
+    """Unlike an entropy list, a spawn key is not zero-padded."""
+    a = substream(1, 1).generate_state(4)
+    b = substream(1, 1, 0).generate_state(4)
+    assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("model", [IC, LT])

@@ -1,8 +1,9 @@
 """Distributed-path integration: Spark fan-out inside TRIM (any b) and ASTI.
 
 The production threshold only engages executors for large batches; here
-we force the Spark branch (monkeypatched threshold) and assert it makes
-the same kind of decisions as the local branch.
+we force the Spark branch (monkeypatched threshold) and assert it
+samples exactly the local branch's sets, so every selector picks the
+same seeds on either venue.
 """
 import importlib
 
@@ -13,10 +14,10 @@ import pytest
 # plain attribute imports would resolve to the functions; go via
 # importlib to get the modules for monkeypatching.
 trim_mod = importlib.import_module("repro.core.trim")
+from repro.baselines.adaptim import adaptim
 from repro.core.asti import asti
-from repro.core.trim import trim
-from repro.diffusion.realization import IC
-from repro.sampling.mrr import sample_sets_local, sample_sets_pairs
+from repro.core.trim import sample_pool, trim
+from repro.diffusion.realization import IC, LT
 
 
 @pytest.fixture()
@@ -43,32 +44,33 @@ def test_asti_with_spark_fanout(spark, small_cl_graph, force_spark):
     assert res.spread >= 20
 
 
-def test_spark_and_local_sampling_statistically_agree(spark, small_cl_graph):
-    """Coverage frequencies from the executor path match the local path
-    (same sampler, different venue)."""
+@pytest.mark.parametrize("n_sets", [64, 513, 700])
+@pytest.mark.parametrize("roots", ["mrr", "rr"])
+@pytest.mark.parametrize("model", [IC, LT])
+def test_spark_and_local_pools_identical(spark, small_cl_graph, force_spark, model, roots, n_sets):
+    """Same seed, same sets: block j of the pool is seeded by (seed, j)
+    alone, whichever venue samples it and however it is partitioned."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    n_sets = 1500
-    local = sample_sets_local(g, active, 15, IC, n_sets, seed=20)
-    cov_local = np.zeros(g.n)
-    for _, m in local:
-        cov_local[m] += 1
-    pairs = sample_sets_pairs(spark, g, active, 15, IC, n_sets, seed=21).toPandas()
-    cov_spark = np.zeros(g.n)
-    np.add.at(cov_spark, pairs["node"].to_numpy(), 1)
-    top_local = set(np.argsort(-cov_local)[:5].tolist())
-    top_spark = set(np.argsort(-cov_spark)[:5].tolist())
-    assert len(top_local & top_spark) >= 3
-    # Overall hit mass within 15%.
-    assert cov_spark.sum() == pytest.approx(cov_local.sum(), rel=0.15)
+    active[::7] = False
+    eta_i = 15 if roots == "mrr" else 1
+    indptr_l, members_l = sample_pool(None, g, active, eta_i, model, n_sets, 21, roots=roots)
+    indptr_s, members_s = sample_pool(spark, g, active, eta_i, model, n_sets, 21, roots=roots)
+    np.testing.assert_array_equal(indptr_s, indptr_l)
+    for j in range(n_sets):
+        lo, hi = indptr_l[j], indptr_l[j + 1]
+        assert set(members_s[lo:hi].tolist()) == set(members_l[lo:hi].tolist())
 
 
-def test_trim_spark_decision_matches_local_quality(spark, small_cl_graph, force_spark):
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda sp, g: trim(sp, g, np.ones(g.n, bool), 12, IC, 0.5, 5).nodes, id="trim"),
+        pytest.param(lambda sp, g: trim(sp, g, np.ones(g.n, bool), 12, IC, 0.5, 5, b=3).nodes, id="trim-b3"),
+        pytest.param(lambda sp, g: asti(sp, g, 25, IC, 4, seed=6).seeds, id="asti"),
+        pytest.param(lambda sp, g: adaptim(sp, g, 20, LT, 4, seed=7).seeds, id="adaptim"),
+    ],
+)
+def test_spark_and_local_pick_identical_seeds(spark, small_cl_graph, force_spark, run):
     g = small_cl_graph
-    res_spark = trim(spark, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5)
-    res_local = trim(None, g, np.ones(g.n, bool), 12, IC, eps=0.5, seed=5)
-    # Both pick a top hub (same graph, same schedule); accept any node
-    # whose out-degree is within the top decile to absorb sampling noise.
-    cutoff = np.quantile(g.outdeg, 0.9)
-    assert g.outdeg[res_spark.nodes[0]] >= cutoff
-    assert g.outdeg[res_local.nodes[0]] >= cutoff
+    assert run(spark, g) == run(None, g)
