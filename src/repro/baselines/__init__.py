@@ -11,7 +11,3 @@ Both sample and select through ``repro.core.trim``: ADAPTIM calls
 ``trim(roots="rr", delta=1/n_i)``; ATEUC draws an RR pool with
 ``sample_pool`` and runs ``greedy_max_coverage`` to exhaustion.
 """
-from repro.baselines.adaptim import adaptim
-from repro.baselines.ateuc import AteucResult, ateuc
-
-__all__ = ["adaptim", "ateuc", "AteucResult"]

@@ -8,14 +8,3 @@
 - ``greedy_max_coverage`` — the one greedy over a CSR pool.
 - ``asti``    — Algorithm 1: the adaptive select/observe/update policy.
 """
-from repro.core.trim import TrimResult, greedy_max_coverage, sample_pool, trim
-from repro.core.asti import AstiResult, asti
-
-__all__ = [
-    "TrimResult",
-    "trim",
-    "sample_pool",
-    "greedy_max_coverage",
-    "AstiResult",
-    "asti",
-]

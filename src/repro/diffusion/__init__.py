@@ -1,21 +1,7 @@
 """Diffusion substrate: live-edge realizations and influence propagation.
 
 Implements the paper's §2.1: the IC and LT models via their live-edge
-equivalents, plus forward reachability (influence spread) both as a
-Spark DataFrame iterative BFS and as a fast local CSR BFS used inside
-the adaptive loop.
+equivalents (``realization``: one live flag per forward-CSR edge slot
+for either model), plus forward reachability (``propagate``: one local
+CSR BFS, used inside the adaptive loop and by the harness).
 """
-from repro.diffusion.realization import Realization, sample_realization
-from repro.diffusion.propagate import (
-    spread_local,
-    spread_spark,
-    truncated,
-)
-
-__all__ = [
-    "Realization",
-    "sample_realization",
-    "spread_local",
-    "spread_spark",
-    "truncated",
-]

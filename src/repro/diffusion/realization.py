@@ -1,13 +1,15 @@
 """Live-edge realizations of a probabilistic social network (paper §2.1).
 
-A realization φ fixes the status of every edge:
+A realization φ fixes the status of every edge, and both models store
+it the same way: one live flag per forward-CSR edge slot.
 
 - **IC**: each directed edge ⟨u, v⟩ is live independently with
-  probability p(u, v). Stored as a boolean per forward-CSR edge slot.
-- **LT**: each node v picks exactly one live in-edge, edge ⟨u, v⟩ with
-  probability p(u, v); since the weighted-cascade weights of v's
-  in-edges sum to 1 (each is 1/indeg(v)), every node with indeg > 0
-  picks one. Stored as the chosen source node per node (−1 for none).
+  probability p(u, v).
+- **LT**: each node v keeps at most one live in-edge, edge ⟨u, v⟩ with
+  probability p(u, v) and none with the leftover mass 1 − Σ_u p(u, v);
+  under weighted cascade the in-weights of v sum to 1 (each is
+  1/indeg(v)), so every node with indeg > 0 keeps one. In-weights that
+  sum to more than 1 are rejected.
 
 Spread under φ is then plain reachability over live edges, which is the
 classic live-edge equivalence of both models (Kempe et al.).
@@ -29,9 +31,12 @@ def choose_in_edge(weights: np.ndarray, r: float) -> int:
     Edge j is chosen iff ``cum[j-1] <= r < cum[j]``; leftover mass
     ``1 - sum(weights)`` (zero under weighted cascade) selects no edge.
     Shared by forward realization sampling and reverse mRR/RR sampling so
-    both directions use identical semantics.
+    both directions use identical semantics. ``weights`` is non-empty;
+    raises ``ValueError`` if it sums to more than 1.
     """
     cum = np.cumsum(weights)
+    if cum[-1] > 1 + 1e-9:
+        raise ValueError(f"LT in-weights sum to {cum[-1]} > 1")
     j = int(np.searchsorted(cum, r, side="right"))
     return j if j < len(weights) else -1
 
@@ -42,22 +47,13 @@ class Realization:
 
     graph: GraphCSR
     model: str
-    # IC: live flag per forward-CSR edge slot. LT: unused (None).
-    live_fwd: np.ndarray | None
-    # LT: chosen live in-neighbor per node, -1 if none. IC: unused.
-    chosen_src: np.ndarray | None
+    # Live flag per forward-CSR edge slot.
+    live_fwd: np.ndarray
 
     def live_edges_pdf(self) -> pd.DataFrame:
         """The live directed edges of φ as a src/dst frame (for oracles)."""
-        g = self.graph
-        src_all = np.repeat(np.arange(g.n), np.diff(g.fwd_indptr))
-        if self.model == IC:
-            mask = self.live_fwd
-            return pd.DataFrame(
-                {"src": src_all[mask], "dst": g.fwd_indices[mask]}
-            )
-        dst = np.nonzero(self.chosen_src >= 0)[0]
-        return pd.DataFrame({"src": self.chosen_src[dst], "dst": dst})
+        edges = self.graph.edges_pdf()[["src", "dst"]]
+        return edges[self.live_fwd].reset_index(drop=True)
 
     def is_live(self, u: int, v: int) -> bool:
         """Status of edge ⟨u, v⟩ under φ (edge must exist in the graph)."""
@@ -66,18 +62,14 @@ class Realization:
         slots = np.nonzero(g.fwd_indices[lo:hi] == v)[0]
         if len(slots) == 0:
             raise KeyError(f"edge ({u}, {v}) not in graph")
-        slot = lo + slots[0]
-        if self.model == IC:
-            return bool(self.live_fwd[slot])
-        return self.chosen_src[v] == u
+        return bool(self.live_fwd[lo + slots[0]])
 
 
 def sample_realization(g: GraphCSR, model: str, seed: int) -> Realization:
     """Draw φ ~ Ω with a fixed seed (the harness's hidden ground truth)."""
     rng = np.random.default_rng(seed)
     if model == IC:
-        live = rng.random(g.m) < g.fwd_probs
-        return Realization(graph=g, model=IC, live_fwd=live, chosen_src=None)
+        return Realization(graph=g, model=IC, live_fwd=rng.random(g.m) < g.fwd_probs)
     if model == LT:
         chosen = np.full(g.n, -1, dtype=np.int64)
         r = rng.random(g.n)
@@ -88,5 +80,8 @@ def sample_realization(g: GraphCSR, model: str, seed: int) -> Realization:
             idx = choose_in_edge(g.rev_probs[lo:hi], r[v])
             if idx >= 0:
                 chosen[v] = g.rev_indices[lo + idx]
-        return Realization(graph=g, model=LT, live_fwd=None, chosen_src=chosen)
+        src_of_slot = np.repeat(np.arange(g.n), np.diff(g.fwd_indptr))
+        return Realization(
+            graph=g, model=LT, live_fwd=chosen[g.fwd_indices] == src_of_slot
+        )
     raise ValueError(f"unknown model {model!r}")

@@ -6,7 +6,3 @@ protocol ("randomly generate 20 possible realizations ... report the
 average"); ``tables`` assembles Table 2, Table 3 and the figure-shaped
 sweeps from those cell results.
 """
-from repro.experiments.harness import RunRecord, run_cell
-from repro.experiments.tables import table2, table3, sweep
-
-__all__ = ["RunRecord", "run_cell", "table2", "table3", "sweep"]

@@ -9,8 +9,8 @@
   behind paper Figures 4–7).
 - ``fig8_spread`` — per-realization achieved spread for ASTI vs ATEUC
   (paper Figure 8).
-- ``save_table``  — the one writer (benchmarks and ``jobs/``) of
-  ``results/<name>.csv``.
+- ``save_table``  — the one writer of ``results/<name>.csv``, called by
+  the ``benchmarks/`` that regenerate each table.
 """
 from pathlib import Path
 

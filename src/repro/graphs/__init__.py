@@ -6,7 +6,3 @@ power-law substitutes at "lite" scale (see DESIGN.md §4), a CSR
 representation shared by every sampler, and the graph statistics needed
 for Table 2 (degree stats and the largest weakly connected component).
 """
-from repro.graphs.csr import GraphCSR
-from repro.graphs.generator import DATASETS, social_graph, dataset_graph, dataset_csr
-
-__all__ = ["GraphCSR", "DATASETS", "social_graph", "dataset_graph", "dataset_csr"]

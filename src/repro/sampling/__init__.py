@@ -9,17 +9,3 @@ al.) for the ATEUC/ADAPTIM baselines are the ``roots="rr"`` mode of the
 same samplers. Venue choice and the CSR set pool live in
 ``repro.core.trim.sample_pool``.
 """
-from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
-from repro.sampling.mrr import (
-    sample_root_size,
-    sample_sets_local,
-    sample_sets_pairs,
-)
-
-__all__ = [
-    "coverage_lower_bound",
-    "coverage_upper_bound",
-    "sample_root_size",
-    "sample_sets_local",
-    "sample_sets_pairs",
-]

@@ -21,7 +21,7 @@ def _realizations(g):
     outs = []
     for b1, b2 in product([True, False], repeat=2):
         live = np.array([b1, b2, True, True])
-        outs.append(Realization(graph=g, model=IC, live_fwd=live, chosen_src=None))
+        outs.append(Realization(graph=g, model=IC, live_fwd=live))
     return outs
 
 

@@ -1,17 +1,17 @@
 """mRR-set sampling (paper §3.3): root-size law, Theorem 3.3 sandwich,
 RR-set truncation bias, and the distributed pairs path vs its oracle."""
-import importlib
-
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro.core.trim as trim_mod
 from repro.diffusion.propagate import (
     exact_expected_spread,
     spread_local,
     truncated,
 )
 from repro.diffusion.realization import IC, LT, sample_realization
+from repro.graphs.csr import GraphCSR
 from repro.oracle import assert_equivalent
 from repro.sampling.mrr import (
     BLOCK,
@@ -20,9 +20,6 @@ from repro.sampling.mrr import (
     sample_sets_pairs,
     substream,
 )
-
-# repro.core re-exports a function named trim; fetch the module itself.
-trim_mod = importlib.import_module("repro.core.trim")
 
 
 def sample_rr_local(g, active, model, n_sets, seed):
@@ -248,3 +245,13 @@ def test_unknown_roots_mode(small_cl_graph):
     g = small_cl_graph
     with pytest.raises(ValueError):
         sample_sets_local(g, np.ones(g.n, bool), 5, IC, 1, seed=0, roots="xyz")
+
+
+def test_lt_rejects_in_weights_above_one():
+    """The reverse BFS applies the same LT rule as the forward sampler:
+    a root whose in-weights sum to 0.8 + 0.8 fails loudly."""
+    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
+    g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.8, 0.8]))
+    only_bad_root = np.array([True, False, False])
+    with pytest.raises(ValueError, match="sum to"):
+        sample_sets_local(g, only_bad_root, 1, LT, 4, seed=0)

@@ -12,6 +12,11 @@ from repro.diffusion.realization import (
 from repro.graphs.csr import GraphCSR
 
 
+def live_in_count(g, real):
+    """Live in-slots per node."""
+    return np.bincount(g.fwd_indices[real.live_fwd], minlength=g.n)
+
+
 @pytest.fixture(scope="module")
 def tri():
     """1 and 2 both feed 0; 0 feeds 1. WC probabilities."""
@@ -23,14 +28,14 @@ def test_ic_shapes(tri):
     real = sample_realization(tri, IC, 0)
     assert real.model == IC
     assert real.live_fwd.shape == (tri.m,)
-    assert real.chosen_src is None
+    assert real.live_fwd.dtype == bool
 
 
 def test_lt_shapes(tri):
     real = sample_realization(tri, LT, 0)
     assert real.model == LT
-    assert real.live_fwd is None
-    assert real.chosen_src.shape == (tri.n,)
+    assert real.live_fwd.shape == (tri.m,)
+    assert real.live_fwd.dtype == bool
 
 
 def test_deterministic_in_seed(tri):
@@ -39,7 +44,7 @@ def test_deterministic_in_seed(tri):
     np.testing.assert_array_equal(a.live_fwd, b.live_fwd)
     c = sample_realization(tri, LT, 5)
     d = sample_realization(tri, LT, 5)
-    np.testing.assert_array_equal(c.chosen_src, d.chosen_src)
+    np.testing.assert_array_equal(c.live_fwd, d.live_fwd)
 
 
 def test_ic_live_frequency_matches_p(tri):
@@ -57,11 +62,7 @@ def test_lt_exactly_one_in_edge_when_weights_sum_to_one(tri):
     LT live-edge process picks exactly one in-edge for it."""
     for s in range(50):
         real = sample_realization(tri, LT, s)
-        for v in range(tri.n):
-            if tri.indeg[v] > 0:
-                assert real.chosen_src[v] in tri.in_neighbors(v)
-            else:
-                assert real.chosen_src[v] == -1
+        np.testing.assert_array_equal(live_in_count(tri, real), tri.indeg > 0)
 
 
 def test_lt_choice_distribution_uniform(tri):
@@ -70,7 +71,8 @@ def test_lt_choice_distribution_uniform(tri):
     counts = {1: 0, 2: 0}
     for s in range(n_trials):
         real = sample_realization(tri, LT, s)
-        counts[int(real.chosen_src[0])] += 1
+        (src,) = [u for u in (1, 2) if real.is_live(u, 0)]
+        counts[src] += 1
     assert counts[1] / n_trials == pytest.approx(0.5, abs=0.04)
 
 
@@ -119,13 +121,26 @@ def test_choose_in_edge_deficient_mass():
 
 
 def test_lt_respects_partial_weights():
-    """With damped weights (sum < 1) some nodes legitimately pick no edge."""
+    """With damped weights (sum < 1) some nodes legitimately pick no edge,
+    and none keeps more than one."""
     edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
     g = GraphCSR.from_edges(edges, n=3, wc_scale=0.4)
     none = 0
     n_trials = 2000
     for s in range(n_trials):
         real = sample_realization(g, LT, s)
-        if real.chosen_src[0] == -1:
+        live_in = live_in_count(g, real)
+        assert live_in.max() <= 1
+        if live_in[0] == 0:
             none += 1
     assert none / n_trials == pytest.approx(0.6, abs=0.05)
+
+
+def test_lt_rejects_in_weights_above_one():
+    """Explicit in-weights 0.8 + 0.8 into node 0 are valid IC
+    probabilities but no LT distribution."""
+    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
+    g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.8, 0.8]))
+    sample_realization(g, IC, 0)
+    with pytest.raises(ValueError, match="sum to"):
+        sample_realization(g, LT, 0)

@@ -5,15 +5,10 @@ we force the Spark branch (monkeypatched threshold) and assert it
 samples exactly the local branch's sets, so every selector picks the
 same seeds on either venue.
 """
-import importlib
-
 import numpy as np
 import pytest
 
-# repro.core/__init__ re-exports functions named like the submodules, so
-# plain attribute imports would resolve to the functions; go via
-# importlib to get the modules for monkeypatching.
-trim_mod = importlib.import_module("repro.core.trim")
+import repro.core.trim as trim_mod
 from repro.baselines.adaptim import adaptim
 from repro.core.asti import asti
 from repro.core.trim import sample_pool, trim
