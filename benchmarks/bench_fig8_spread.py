@@ -4,21 +4,22 @@ ASTI vs ATEUC achieved spread over realizations on nethept_lite: the
 adaptive runs always reach η and hug it; the non-adaptive set misses η
 on some realizations and overshoots on others (paper §6.4).
 """
-from repro.experiments.tables import fig8_spread, save_table
+from repro.experiments.tables import runs, save_table
 
 N_REALIZATIONS = 10
 
 
-def test_fig8_spread(benchmark, spark):
+def test_fig8(benchmark, spark):
     result = {}
 
     def run():
-        result["pdf"] = fig8_spread(
+        result["pdf"] = runs(
             spark,
-            dataset="nethept_lite",
+            datasets=["nethept_lite"],
             models=("IC", "LT"),
-            eta_frac=0.1,
+            algos=("asti", "ateuc"),
             n_realizations=N_REALIZATIONS,
+            fracs=[0.1],
         )
         return result["pdf"]
 

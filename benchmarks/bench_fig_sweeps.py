@@ -7,32 +7,33 @@ slower baseline).
 """
 import pandas as pd
 
-from repro.experiments.tables import save_table, sweep
+from repro.experiments.tables import runs, save_table, sweep
 
 N_REALIZATIONS = 2
-MAIN_ALGOS = ["asti", "asti-2", "asti-4", "asti-8", "ateuc"]
+MAIN_ALGOS = ("asti", "asti-2", "asti-4", "asti-8", "ateuc")
 
 
 def test_fig45_sweep_ic(benchmark, spark):
     result = {}
 
     def run():
-        main = sweep(
+        main = runs(
             spark,
             datasets=["nethept_lite", "epinions_lite"],
+            models=("IC",),
             algos=MAIN_ALGOS,
-            model="IC",
             n_realizations=N_REALIZATIONS,
         )
-        adapt = sweep(
+        adapt = runs(
             spark,
             datasets=["nethept_lite"],
-            algos=["adaptim"],
-            model="IC",
+            models=("IC",),
+            algos=("adaptim",),
             n_realizations=N_REALIZATIONS,
             fracs=[0.01, 0.05, 0.1],
         )
-        result["pdf"] = pd.concat([main, adapt], ignore_index=True)
+        # Two sweeps, so ADAPTIM's rows stay after the main grid.
+        result["pdf"] = pd.concat([sweep(main), sweep(adapt)], ignore_index=True)
         return result["pdf"]
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -47,11 +48,13 @@ def test_fig67_sweep_lt(benchmark, spark):
 
     def run():
         result["pdf"] = sweep(
-            spark,
-            datasets=["nethept_lite"],
-            algos=MAIN_ALGOS,
-            model="LT",
-            n_realizations=N_REALIZATIONS,
+            runs(
+                spark,
+                datasets=["nethept_lite"],
+                models=("LT",),
+                algos=MAIN_ALGOS,
+                n_realizations=N_REALIZATIONS,
+            )
         )
         return result["pdf"]
 

@@ -1,6 +1,6 @@
 """Benchmark + regeneration of paper Table 3, IC model (all datasets)."""
-from repro.experiments.harness import records_to_pandas
-from repro.experiments.tables import save_table, table3
+from repro.experiments.tables import runs, save_table, table3
+from repro.graphs.generator import DATASETS
 
 N_REALIZATIONS = 3
 
@@ -9,21 +9,20 @@ def test_table3_ic(benchmark, spark):
     result = {}
 
     def run():
-        records = []
-        pdf = table3(
+        result["runs"] = runs(
             spark,
+            datasets=list(DATASETS),
             models=("IC",),
+            algos=("asti", "ateuc"),
             n_realizations=N_REALIZATIONS,
-            records_out=records,
         )
-        result["pdf"], result["records"] = pdf, records
-        return pdf
+        return result["runs"]
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    pdf = result["pdf"]
-    save_table("table3_ic", pdf)
-    save_table("table3_ic_runs", records_to_pandas(result["records"]))
-    assert len(pdf) == 4  # one row per dataset
+    pdf = result["runs"]
+    t3 = table3(pdf)
+    save_table("table3_ic", t3)
+    save_table("table3_ic_runs", pdf)
+    assert len(t3) == 4  # one row per dataset
     # ASTI rows always meet the threshold (ASM contract).
-    runs = records_to_pandas(result["records"])
-    assert runs[runs.algo == "asti"]["meets_threshold"].all()
+    assert pdf[pdf.algo == "asti"]["meets_threshold"].all()

@@ -1,6 +1,6 @@
 """Benchmark + regeneration of paper Table 3, LT model (all datasets)."""
-from repro.experiments.harness import records_to_pandas
-from repro.experiments.tables import save_table, table3
+from repro.experiments.tables import runs, save_table, table3
+from repro.graphs.generator import DATASETS
 
 N_REALIZATIONS = 3
 
@@ -9,20 +9,19 @@ def test_table3_lt(benchmark, spark):
     result = {}
 
     def run():
-        records = []
-        pdf = table3(
+        result["runs"] = runs(
             spark,
+            datasets=list(DATASETS),
             models=("LT",),
+            algos=("asti", "ateuc"),
             n_realizations=N_REALIZATIONS,
-            records_out=records,
         )
-        result["pdf"], result["records"] = pdf, records
-        return pdf
+        return result["runs"]
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    pdf = result["pdf"]
-    save_table("table3_lt", pdf)
-    save_table("table3_lt_runs", records_to_pandas(result["records"]))
-    assert len(pdf) == 4
-    runs = records_to_pandas(result["records"])
-    assert runs[runs.algo == "asti"]["meets_threshold"].all()
+    pdf = result["runs"]
+    t3 = table3(pdf)
+    save_table("table3_lt", t3)
+    save_table("table3_lt_runs", pdf)
+    assert len(t3) == 4
+    assert pdf[pdf.algo == "asti"]["meets_threshold"].all()

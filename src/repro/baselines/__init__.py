@@ -8,6 +8,6 @@
   marginal spread with single-root RR sets.
 
 Both sample and select through ``repro.core.trim``: ADAPTIM calls
-``trim(roots="rr", delta=1/n_i)``; ATEUC draws an RR pool with
+``trim(roots="rr")`` (δ = 1/max(2, n_i)); ATEUC draws an RR pool with
 ``sample_pool`` and runs ``greedy_max_coverage`` to exhaustion.
 """

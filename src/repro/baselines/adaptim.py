@@ -19,24 +19,8 @@ from repro.sampling.mrr import Seed
 
 
 def _adaptim_selector(spark, g, active, eta_i, model, eps, seed):
-    """Per-round untruncated greedy: RR sets, OPIM-C-style stopping.
-
-    Reuses the TRIM doubling/stop machinery with single-root RR sets and
-    the OPIM-C failure budget δ = 1/n_i (the truncation-aware δ of
-    Algorithm 2 does not apply to the untruncated objective).
-    """
-    n_i = int(active.sum())
-    res = trim(
-        spark,
-        g,
-        active,
-        eta_i,
-        model,
-        eps,
-        seed,
-        roots="rr",
-        delta=1.0 / max(2, n_i),
-    )
+    """Per-round untruncated greedy: ``trim`` over single-root RR sets."""
+    res = trim(spark, g, active, eta_i, model, eps, seed, roots="rr")
     return res.nodes, res.n_sets
 
 

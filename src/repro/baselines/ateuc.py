@@ -28,6 +28,10 @@ from repro.sampling.mrr import Seed, substream
 
 # See the comment at the S_u rule below.
 SAFETY_MARGIN = 1.15
+# The RR pool starts at THETA0 sets and doubles at most MAX_DOUBLINGS - 1
+# times.
+THETA0 = 256
+MAX_DOUBLINGS = 12
 
 
 @dataclass
@@ -52,8 +56,6 @@ def ateuc(
     model: str,
     *,
     seed: Seed = 0,
-    theta0: int = 256,
-    max_doublings: int = 12,
 ) -> AteucResult:
     """Select a non-adaptive seed set with estimated E[I(S)] ≥ η."""
     if not 1 <= eta <= g.n:
@@ -64,15 +66,13 @@ def ateuc(
     a = math.log(2.0 * n)
     pool = EMPTY_POOL
     n_sets = 0
-    theta = theta0
-    for t in range(1, max_doublings + 1):
-        need = theta - n_sets
-        if need > 0:
-            more = sample_pool(
-                spark, g, active, 1, model, need, substream(seed, t), roots="rr"
-            )
-            pool = extend_pool(pool, more)
-            n_sets += need
+    for t in range(1, MAX_DOUBLINGS + 1):
+        need = THETA0 * 2 ** (t - 1) - n_sets
+        more = sample_pool(
+            spark, g, active, 1, model, need, substream(seed, t), roots="rr"
+        )
+        pool = extend_pool(pool, more)
+        n_sets += need
         picks, curve = greedy_max_coverage(*pool, n, n)
         su = sl = None
         for j, cov in enumerate(curve, start=1):
@@ -88,10 +88,11 @@ def ateuc(
             est = n * cov / n_sets
             if sl is None and est_ub >= eta:
                 sl = j
-            if su is None and est >= SAFETY_MARGIN * eta:
+            if est >= SAFETY_MARGIN * eta:
                 su = j
                 break
-        if su is not None and sl is not None and (su <= 2 * sl or t == max_doublings):
+        # Λᵘ ≥ Λ, so S_l is set no later than S_u.
+        if su is not None and (su <= 2 * sl or t == MAX_DOUBLINGS):
             return AteucResult(
                 seeds=picks[:su],
                 sl_size=sl,
@@ -99,23 +100,16 @@ def ateuc(
                 iterations=t,
                 est_spread=n * curve[su - 1] / n_sets,
             )
-        theta *= 2
     # Sample budget exhausted without a certified S_u: return the full
-    # greedy prefix whose *point estimate* reaches η (best effort).
+    # greedy prefix whose *point estimate* reaches η (best effort). Every
+    # RR set holds its root, so the full greedy covers all n_sets sets
+    # (estimate n ≥ η) and the prefix exists.
     for j, cov in enumerate(curve, start=1):
         if n * cov / n_sets >= eta:
             return AteucResult(
                 seeds=picks[:j],
-                sl_size=sl or j,
+                sl_size=sl,
                 n_sets=n_sets,
-                iterations=max_doublings,
+                iterations=MAX_DOUBLINGS,
                 est_spread=n * cov / n_sets,
             )
-    return AteucResult(
-        seeds=picks,
-        sl_size=sl or len(picks),
-        n_sets=n_sets,
-        iterations=max_doublings,
-        est_spread=n * (curve[-1] if curve else 0) / max(1, n_sets),
-    )
-

@@ -13,9 +13,9 @@ Every selector samples and selects through the two helpers here:
   sets as a CSR pool ``(indptr, members)``;
 - ``greedy_max_coverage`` — the one greedy over such a pool.
 
-ADAPTIM's per-round selection is ``trim`` with single-root RR sets and
-δ = 1/n_i; ATEUC runs the greedy to exhaustion over an RR pool
-(baselines/).
+ADAPTIM's per-round selection is ``trim(roots="rr")``: single-root RR
+sets and δ = 1/max(2, n_i); ATEUC runs the greedy to exhaustion over an
+RR pool (baselines/).
 """
 import math
 from dataclasses import dataclass
@@ -59,8 +59,12 @@ class TrimSchedule:
     a2: float
 
     @staticmethod
-    def build(n_i: int, eta_i: int, eps: float, *, b: int = 1, delta: float | None = None) -> "TrimSchedule":
-        if delta is None:
+    def build(n_i: int, eta_i: int, eps: float, *, b: int = 1, roots: str = "mrr") -> "TrimSchedule":
+        if roots == "rr":
+            # ADAPTIM's untruncated objective: the OPIM-C failure budget
+            # 1/n_i (Algorithm 2's truncation-aware δ does not apply).
+            delta = 1.0 / max(2, n_i)
+        else:
             delta = eps / (100.0 * (1.0 - 1.0 / math.e) * (1.0 - eps) * eta_i)
         eps_hat = 99.0 * eps / (100.0 - eps)
         rb = rho(b)
@@ -204,13 +208,12 @@ def trim(
     *,
     b: int = 1,
     roots: str = "mrr",
-    delta: float | None = None,
 ) -> TrimResult:
     """One round of Algorithm 3 (b = 1: Algorithm 2) on the residual graph.
 
-    ``roots="rr"`` with an explicit ``delta`` turns this into ADAPTIM's
-    per-round untruncated selection (coverage logic is identical; only
-    the sampler and the estimator scale differ — handled by callers).
+    ``roots="rr"`` turns this into ADAPTIM's per-round untruncated
+    selection: single-root RR sets and δ = 1/max(2, n_i) (coverage logic
+    is identical; only the sampler, δ and the estimator scale differ).
     Iteration ``t`` samples its new sets from ``substream(seed, t)``.
     """
     n_i = int(active.sum())
@@ -218,18 +221,17 @@ def trim(
         raise ValueError("empty residual graph")
     eta_i = min(eta_i, n_i)
     b = min(b, n_i)
-    sched = TrimSchedule.build(n_i, eta_i, eps, b=b, delta=delta)
+    sched = TrimSchedule.build(n_i, eta_i, eps, b=b, roots=roots)
     rb = rho(b)
     pool = EMPTY_POOL
     n_sets = 0
     for t in range(1, sched.T + 1):
         need = sched.theta_o * (2 ** (t - 1)) - n_sets
-        if need > 0:
-            more = sample_pool(
-                spark, g, active, eta_i, model, need, substream(seed, t), roots=roots
-            )
-            pool = extend_pool(pool, more)
-            n_sets += need
+        more = sample_pool(
+            spark, g, active, eta_i, model, need, substream(seed, t), roots=roots
+        )
+        pool = extend_pool(pool, more)
+        n_sets += need
         nodes, curve = greedy_max_coverage(*pool, g.n, b)
         lam = curve[-1] if curve else 0
         lam_l = coverage_lower_bound(lam, sched.a1)

@@ -3,6 +3,7 @@
 ``harness`` runs one (dataset, model, algorithm, threshold) cell over a
 set of pre-sampled ground-truth realizations, mirroring the paper's
 protocol ("randomly generate 20 possible realizations ... report the
-average"); ``tables`` assembles Table 2, Table 3 and the figure-shaped
-sweeps from those cell results.
+average"); ``tables.runs`` loops over cells into one runs frame (one row
+per realization), and Table 3 and the figure-shaped sweeps are pandas
+views of it (Table 2 is computed from the graphs).
 """

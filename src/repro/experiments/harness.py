@@ -9,10 +9,9 @@ every realization, which is exactly how the paper's N/A entries arise.
 """
 import time
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines.adaptim import adaptim
@@ -21,7 +20,6 @@ from repro.core.asti import asti
 from repro.diffusion.propagate import spread_local
 from repro.diffusion.realization import sample_realization
 from repro.graphs.csr import GraphCSR
-from repro.graphs.generator import dataset_csr
 from repro.sampling.mrr import substream
 
 ADAPTIVE_ALGOS = ("asti", "asti-2", "asti-4", "asti-8", "adaptim")
@@ -48,9 +46,6 @@ class RunRecord:
     time_s: float
     meets_threshold: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def run_cell(
     spark: SparkSession | None,
@@ -60,15 +55,15 @@ def run_cell(
     eta_frac: float,
     *,
     n_realizations: int = 3,
-    eps: float = 0.5,
-    seed: int = 0,
-    g: GraphCSR | None = None,
+    g: GraphCSR,
 ) -> list[RunRecord]:
-    """All per-realization records for one experiment cell."""
+    """All per-realization records for one experiment cell on graph ``g``.
+
+    Every algorithm runs with ε = 0.5 and algorithm seed 0; the run on
+    realization r draws from ``substream(0, r)``.
+    """
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r}; expected one of {ALGOS}")
-    if g is None:
-        g = dataset_csr(dataset)
     eta = max(1, int(round(eta_frac * g.n)))
     reals = [
         sample_realization(g, model, realization_seed(dataset, model, r))
@@ -91,7 +86,7 @@ def run_cell(
 
     if algo == "ateuc":
         t0 = time.perf_counter()
-        sel = ateuc(spark, g, eta, model, seed=seed)
+        sel = ateuc(spark, g, eta, model)
         select_time = time.perf_counter() - t0
         return [
             record(r, sel.n_seeds, len(spread_local(real, sel.seeds)), select_time)
@@ -102,9 +97,7 @@ def run_cell(
     records = []
     for r, real in enumerate(reals):
         t0 = time.perf_counter()
-        res = policy(
-            spark, g, eta, model, 0, eps=eps, seed=substream(seed, r), realization=real
-        )
+        res = policy(spark, g, eta, model, 0, seed=substream(0, r), realization=real)
         records.append(record(r, res.n_seeds, res.spread, time.perf_counter() - t0))
     return records
 
@@ -114,9 +107,3 @@ def eta_fracs(dataset: str) -> list[float]:
     if dataset.startswith("livejournal"):
         return [0.01, 0.02, 0.03, 0.04, 0.05]
     return [0.01, 0.05, 0.1, 0.15, 0.2]
-
-
-def records_to_pandas(records: list[RunRecord]):
-    import pandas as pd
-
-    return pd.DataFrame([r.to_dict() for r in records])

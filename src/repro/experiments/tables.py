@@ -2,27 +2,24 @@
 
 - ``table2``  — dataset details (paper Table 2): n, m, type, average
   degree and LWCC size, computed with the Spark DataFrame API.
-- ``table3``  — improvement ratio of ASTI over ATEUC in seed count per
-  (model, dataset, η/n), with the paper's N/A rule: N/A whenever
-  ATEUC's set misses η on at least one realization.
-- ``sweep``   — seeds & runtime vs threshold per algorithm (the data
-  behind paper Figures 4–7).
-- ``fig8_spread`` — per-realization achieved spread for ASTI vs ATEUC
-  (paper Figure 8).
+- ``runs``    — the one loop over experiment cells: one row per
+  ``RunRecord`` (model, dataset, η/n, algo, realization). Fig 8's
+  per-realization spread is ``runs`` at one η/n.
+- ``table3``  — a view of a runs frame: improvement ratio of ASTI over
+  ATEUC in seed count per (model, dataset, η/n), with the paper's N/A
+  rule: N/A whenever ATEUC's set misses η on at least one realization.
+- ``sweep``   — a view of a runs frame: seeds & runtime vs threshold per
+  (model, dataset, algo, η/n) (the data behind paper Figures 4–7).
 - ``save_table``  — the one writer of ``results/<name>.csv``, called by
   the ``benchmarks/`` that regenerate each table.
 """
+from dataclasses import asdict
 from pathlib import Path
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.harness import (
-    RunRecord,
-    eta_fracs,
-    records_to_pandas,
-    run_cell,
-)
+from repro.experiments.harness import eta_fracs, run_cell
 from repro.graphs.components import lwcc_size_spark
 from repro.graphs.generator import DATASETS, dataset_csr, dataset_graph
 from repro.graphs.stats import degree_stats, edges_df
@@ -49,108 +46,74 @@ def table2(spark: SparkSession, datasets: list[str] | None = None) -> pd.DataFra
     return pd.DataFrame(rows)
 
 
-def table3(
+def runs(
     spark: SparkSession | None,
     *,
-    datasets: list[str] | None = None,
-    models: tuple[str, ...] = ("IC", "LT"),
-    n_realizations: int = 3,
-    eps: float = 0.5,
-    records_out: list[RunRecord] | None = None,
+    datasets: list[str],
+    models: tuple[str, ...],
+    algos: tuple[str, ...],
+    n_realizations: int,
     fracs: list[float] | None = None,
 ) -> pd.DataFrame:
+    """One row per ``RunRecord`` over every (model, dataset, η/n, algo) cell.
+
+    ``fracs=None`` runs each dataset's paper threshold grid. Each
+    dataset's graph is built once; every table below is a view of this
+    frame.
+    """
+    graphs = {name: dataset_csr(name) for name in datasets}
+    records = []
+    for model in models:
+        for name in datasets:
+            for frac in fracs or eta_fracs(name):
+                for algo in algos:
+                    records += run_cell(
+                        spark, name, model, algo, frac,
+                        n_realizations=n_realizations, g=graphs[name],
+                    )
+    return pd.DataFrame([asdict(r) for r in records])
+
+
+def table3(runs: pd.DataFrame) -> pd.DataFrame:
     """Improvement ratio of ASTI over ATEUC (paper Table 3).
 
     ratio = (mean ATEUC seeds − mean ASTI seeds) / mean ASTI seeds,
     reported as a percentage string; "N/A" when ATEUC misses η on some
-    realization. ``records_out`` collects the raw per-run records so
-    callers can derive the figure tables from the same runs.
+    realization. One row per (model, dataset) and one column per η/n,
+    both in the order the runs first show them.
     """
-    rows = []
-    for model in models:
-        for name in datasets or list(DATASETS):
-            g = dataset_csr(name)
-            row = {"model": model, "dataset": name}
-            for frac in fracs or eta_fracs(name):
-                asti_rec = run_cell(
-                    spark, name, model, "asti", frac,
-                    n_realizations=n_realizations, eps=eps, g=g,
-                )
-                ateuc_rec = run_cell(
-                    spark, name, model, "ateuc", frac,
-                    n_realizations=n_realizations, eps=eps, g=g,
-                )
-                if records_out is not None:
-                    records_out.extend(asti_rec + ateuc_rec)
-                mean_asti = sum(r.n_seeds for r in asti_rec) / len(asti_rec)
-                mean_ateuc = sum(r.n_seeds for r in ateuc_rec) / len(ateuc_rec)
-                if not all(r.meets_threshold for r in ateuc_rec):
-                    row[f"eta/n={frac}"] = "N/A"
-                else:
-                    ratio = 100.0 * (mean_ateuc - mean_asti) / mean_asti
-                    row[f"eta/n={frac}"] = f"{ratio:.1f}%"
-            rows.append(row)
-    return pd.DataFrame(rows)
+    rows: dict[tuple[str, str], dict] = {}
+    for (model, name, frac), cell in runs.groupby(
+        ["model", "dataset", "eta_frac"], sort=False
+    ):
+        asti_rec = cell[cell.algo == "asti"]
+        ateuc_rec = cell[cell.algo == "ateuc"]
+        mean_asti = asti_rec.n_seeds.mean()
+        mean_ateuc = ateuc_rec.n_seeds.mean()
+        row = rows.setdefault((model, name), {"model": model, "dataset": name})
+        if not ateuc_rec.meets_threshold.all():
+            row[f"eta/n={frac}"] = "N/A"
+        else:
+            ratio = 100.0 * (mean_ateuc - mean_asti) / mean_asti
+            row[f"eta/n={frac}"] = f"{ratio:.1f}%"
+    return pd.DataFrame(list(rows.values()))
 
 
-def sweep(
-    spark: SparkSession | None,
-    *,
-    datasets: list[str],
-    algos: list[str],
-    model: str,
-    n_realizations: int = 3,
-    eps: float = 0.5,
-    fracs: list[float] | None = None,
-) -> pd.DataFrame:
-    """Seeds & runtime vs threshold (the data behind Figures 4–7)."""
-    records: list[RunRecord] = []
-    for name in datasets:
-        g = dataset_csr(name)
-        for algo in algos:
-            for frac in fracs or eta_fracs(name):
-                records.extend(
-                    run_cell(
-                        spark, name, model, algo, frac,
-                        n_realizations=n_realizations, eps=eps, g=g,
-                    )
-                )
-    pdf = records_to_pandas(records)
-    return (
-        pdf.groupby(["dataset", "algo", "eta_frac"], as_index=False)
-        .agg(
-            eta=("eta", "first"),
-            mean_seeds=("n_seeds", "mean"),
-            mean_spread=("spread", "mean"),
-            mean_time_s=("time_s", "mean"),
-            meets_all=("meets_threshold", "all"),
-        )
-        .sort_values(["dataset", "algo", "eta_frac"])
-        .reset_index(drop=True)
+def sweep(runs: pd.DataFrame) -> pd.DataFrame:
+    """Seeds & runtime vs threshold (the data behind Figures 4–7).
+
+    One row per (model, dataset, algo, η/n): IC and LT runs of the same
+    cell never merge.
+    """
+    return runs.groupby(
+        ["model", "dataset", "algo", "eta_frac"], as_index=False
+    ).agg(
+        eta=("eta", "first"),
+        mean_seeds=("n_seeds", "mean"),
+        mean_spread=("spread", "mean"),
+        mean_time_s=("time_s", "mean"),
+        meets_all=("meets_threshold", "all"),
     )
-
-
-def fig8_spread(
-    spark: SparkSession | None,
-    *,
-    dataset: str = "nethept_lite",
-    models: tuple[str, ...] = ("IC", "LT"),
-    eta_frac: float = 0.1,
-    n_realizations: int = 10,
-    eps: float = 0.5,
-) -> pd.DataFrame:
-    """Per-realization spread for ASTI vs ATEUC (paper Figure 8)."""
-    records: list[RunRecord] = []
-    g = dataset_csr(dataset)
-    for model in models:
-        for algo in ("asti", "ateuc"):
-            records.extend(
-                run_cell(
-                    spark, dataset, model, algo, eta_frac,
-                    n_realizations=n_realizations, eps=eps, g=g,
-                )
-            )
-    return records_to_pandas(records)
 
 
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"

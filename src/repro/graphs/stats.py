@@ -1,4 +1,4 @@
-"""Graph statistics for Table 2 (n, m, average degree, degree histogram).
+"""Graph statistics for Table 2 (n, m and average degree).
 
 All statistics are computed with the DataFrame API so they are
 oracle-checkable against DuckDB SQL over the same edge list.
@@ -33,14 +33,3 @@ def degree_stats(edges: DataFrame, *, directed: bool) -> DataFrame:
         "m",
         (F.lit(2.0) * F.col("m") / F.col("n")).alias("avg_deg"),
     )
-
-
-def degree_histogram(edges: DataFrame) -> DataFrame:
-    """(degree, node_count) over total degree (in+out), for Fig. 3 shape."""
-    deg = (
-        edges.select(F.col("src").alias("node"))
-        .union(edges.select(F.col("dst").alias("node")))
-        .groupBy("node")
-        .agg(F.count("*").alias("degree"))
-    )
-    return deg.groupBy("degree").agg(F.count("*").alias("node_count"))

@@ -5,7 +5,6 @@ from repro.experiments.harness import (
     ALGOS,
     eta_fracs,
     realization_seed,
-    records_to_pandas,
     run_cell,
 )
 from repro.graphs.csr import GraphCSR
@@ -68,23 +67,6 @@ def test_adaptive_meets_threshold_always(g_small):
         None, "tiny", "LT", "asti", 0.15, n_realizations=2, g=g_small
     )
     assert all(r.meets_threshold for r in recs)
-
-
-def test_records_to_pandas_schema(g_small):
-    recs = run_cell(None, "tiny", "IC", "asti", 0.1, n_realizations=1, g=g_small)
-    pdf = records_to_pandas(recs)
-    assert set(pdf.columns) == {
-        "dataset",
-        "model",
-        "algo",
-        "eta_frac",
-        "eta",
-        "realization",
-        "n_seeds",
-        "spread",
-        "time_s",
-        "meets_threshold",
-    }
 
 
 def test_algos_registry():

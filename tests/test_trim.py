@@ -46,6 +46,23 @@ def test_schedule_batched_generalization():
     assert s.a1 == pytest.approx(math.log(3 * s.T / delta) + lnc)
 
 
+@pytest.mark.parametrize("n_i", [1, 2, 3, 1200])
+def test_rr_schedule_uses_opim_delta(n_i):
+    """ADAPTIM's RR rounds: δ = 1/max(2, n_i), whatever η_i and ε."""
+    s = TrimSchedule.build(n_i, 1, 0.5, roots="rr")
+    delta = 1 / max(2, n_i)
+    assert s.delta == pytest.approx(delta)
+    assert s.a2 == pytest.approx(math.log(3 * s.T / delta))
+
+
+def test_rr_trim_samples_on_the_rr_schedule(small_cl_graph):
+    g = small_cl_graph
+    res = trim(None, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=4, roots="rr")
+    s = TrimSchedule.build(g.n, 15, 0.5, roots="rr")
+    assert s.theta_o != TrimSchedule.build(g.n, 15, 0.5).theta_o
+    assert res.n_sets == s.theta_o * 2 ** (res.iterations - 1)
+
+
 def test_rho_values():
     assert rho(1) == pytest.approx(1.0)
     assert rho(2) == pytest.approx(0.75)
