@@ -7,7 +7,8 @@
   minimization: the ASTI loop but greedily maximizing *untruncated*
   marginal spread with single-root RR sets.
 
-Both sample and select through ``repro.core.trim``: ADAPTIM calls
-``trim(roots="rr")`` (δ = 1/max(2, n_i)); ATEUC draws an RR pool with
-``sample_pool`` and runs ``greedy_max_coverage`` to exhaustion.
+Both sample through ``repro.sampling.mrr.sample_pool`` and select through
+``repro.core.trim``: ADAPTIM calls ``trim(roots="rr")`` (δ = 1/max(2,
+n_i)); ATEUC draws an RR pool with ``sample_pool`` and runs
+``greedy_max_coverage`` to exhaustion.
 """

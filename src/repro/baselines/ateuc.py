@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.trim import EMPTY_POOL, extend_pool, greedy_max_coverage, sample_pool
+from repro.core.trim import greedy_max_coverage
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_upper_bound
-from repro.sampling.mrr import Seed, substream
+from repro.sampling.mrr import EMPTY_POOL, Seed, extend_pool, sample_pool, substream
 
 # See the comment at the S_u rule below.
 SAFETY_MARGIN = 1.15

@@ -3,8 +3,7 @@
 - ``trim``    — Algorithm 3: a size-b batch via greedy max coverage over
   mRR sets with the OPIM-C-style doubling/stop rule, approximation
   ρ_b(1−1/e)(1−ε) with ρ_b = 1−(1−1/b)^b; b = 1 is Algorithm 2.
-- ``sample_pool`` — the one local/Spark venue switch, returning sets as
-  a CSR pool ``(indptr, members)``.
-- ``greedy_max_coverage`` — the one greedy over a CSR pool.
+- ``greedy_max_coverage`` — the one greedy over a CSR pool, as returned
+  by ``repro.sampling.mrr.sample_pool``.
 - ``asti``    — Algorithm 1: the adaptive select/observe/update policy.
 """

@@ -7,11 +7,10 @@ stopping rule. That is TRIM-B (Algorithm 3), approximation
 ρ_b(1−1/e)(1−ε); with b = 1 the schedule reduces exactly (ρ₁ = 1,
 ln C(n,1) = ln n) and greedy to argmax, which is TRIM (Algorithm 2).
 
-Every selector samples and selects through the two helpers here:
-
-- ``sample_pool`` — the only local/Spark venue switch; it returns the
-  sets as a CSR pool ``(indptr, members)``;
-- ``greedy_max_coverage`` — the one greedy over such a pool.
+Every selector samples through ``repro.sampling.mrr.sample_pool`` (the
+one sampler entry point and venue switch, returning the sets as a CSR
+pool ``(indptr, members)``) and selects through ``greedy_max_coverage``
+here, the one greedy over such a pool.
 
 ADAPTIM's per-round selection is ``trim(roots="rr")``: single-root RR
 sets and δ = 1/max(2, n_i); ATEUC runs the greedy to exhaustion over an
@@ -25,13 +24,7 @@ from pyspark.sql import SparkSession
 
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
-from repro.sampling.mrr import Seed, sample_sets_local, sample_sets_pairs, substream
-
-# Below this many sets, executor fan-out costs more than it saves
-# (measured ~0.4 s/job overhead vs milliseconds of local sampling at
-# lite scale); the schedule still matches the paper, only the execution
-# venue changes.
-SPARK_MIN_SETS = 4096
+from repro.sampling.mrr import EMPTY_POOL, Seed, extend_pool, sample_pool, substream
 
 
 def ln_choose(n: int, b: int) -> float:
@@ -92,56 +85,6 @@ class TrimSchedule:
             a1=a1,
             a2=a2,
         )
-
-
-def sample_pool(
-    spark: SparkSession | None,
-    g: GraphCSR,
-    active: np.ndarray,
-    eta_i: int,
-    model: str,
-    n_sets: int,
-    seed: Seed,
-    *,
-    roots: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``n_sets`` fresh sets as a CSR pool ``(indptr, members)``.
-
-    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. Without
-    Spark (``spark=None``), or below ``SPARK_MIN_SETS``, the sets are
-    sampled locally; otherwise Spark executors sample them and the
-    membership rows are collected and stably sorted by set id. The pool
-    depends only on the arguments, not on the venue.
-    """
-    if spark is None or n_sets < SPARK_MIN_SETS:
-        sets = sample_sets_local(g, active, eta_i, model, n_sets, seed, roots=roots)
-        sizes = [len(m) for _, m in sets]
-        members = np.concatenate([m for _, m in sets] or [np.zeros(0, np.int64)])
-    else:
-        pairs = sample_sets_pairs(
-            spark, g, active, eta_i, model, n_sets, seed, roots=roots
-        ).toPandas()
-        set_ids = pairs["set_id"].to_numpy(np.int64)
-        order = np.argsort(set_ids, kind="stable")
-        members = pairs["node"].to_numpy(np.int64)[order]
-        sizes = np.bincount(set_ids, minlength=n_sets)
-    indptr = np.zeros(n_sets + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    return indptr, members
-
-
-def extend_pool(
-    pool: tuple[np.ndarray, np.ndarray], more: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR pool holding ``pool``'s sets followed by ``more``'s."""
-    indptr, members = pool
-    return (
-        np.concatenate([indptr, more[0][1:] + indptr[-1]]),
-        np.concatenate([members, more[1]]),
-    )
-
-
-EMPTY_POOL = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 def greedy_max_coverage(

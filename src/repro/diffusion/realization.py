@@ -8,8 +8,10 @@ it the same way: one live flag per forward-CSR edge slot.
 - **LT**: each node v keeps at most one live in-edge, edge ⟨u, v⟩ with
   probability p(u, v) and none with the leftover mass 1 − Σ_u p(u, v);
   under weighted cascade the in-weights of v sum to 1 (each is
-  1/indeg(v)), so every node with indeg > 0 keeps one. In-weights that
-  sum to more than 1 are rejected.
+  1/indeg(v)), so every node with indeg > 0 keeps one. It keeps in-edge
+  j for a draw r_v when j of its running in-weight sums
+  (``GraphCSR.rev_cum``) are ≤ r_v, as does the reverse mRR/RR BFS.
+  ``check_lt`` rejects in-weights that sum to more than 1.
 
 Spread under φ is then plain reachability over live edges, which is the
 classic live-edge equivalence of both models (Kempe et al.).
@@ -25,20 +27,12 @@ IC = "IC"
 LT = "LT"
 
 
-def choose_in_edge(weights: np.ndarray, r: float) -> int:
-    """LT live-edge choice: index of the chosen in-edge, or -1 for none.
-
-    Edge j is chosen iff ``cum[j-1] <= r < cum[j]``; leftover mass
-    ``1 - sum(weights)`` (zero under weighted cascade) selects no edge.
-    Shared by forward realization sampling and reverse mRR/RR sampling so
-    both directions use identical semantics. ``weights`` is non-empty;
-    raises ``ValueError`` if it sums to more than 1.
-    """
-    cum = np.cumsum(weights)
-    if cum[-1] > 1 + 1e-9:
-        raise ValueError(f"LT in-weights sum to {cum[-1]} > 1")
-    j = int(np.searchsorted(cum, r, side="right"))
-    return j if j < len(weights) else -1
+def check_lt(g: GraphCSR) -> None:
+    """Raise ``ValueError`` if a node's in-weights sum to more than 1; an
+    LT-only check, since IC's may (Example 2.3's v4)."""
+    totals = g.rev_cum[g.rev_indptr[1:][g.indeg > 0] - 1]
+    if (totals > 1 + 1e-9).any():
+        raise ValueError(f"LT in-weights sum to {totals.max()} > 1")
 
 
 @dataclass
@@ -71,16 +65,15 @@ def sample_realization(g: GraphCSR, model: str, seed: int) -> Realization:
     if model == IC:
         return Realization(graph=g, model=IC, live_fwd=rng.random(g.m) < g.fwd_probs)
     if model == LT:
-        chosen = np.full(g.n, -1, dtype=np.int64)
+        check_lt(g)
         r = rng.random(g.n)
-        for v in range(g.n):
-            lo, hi = g.rev_indptr[v], g.rev_indptr[v + 1]
-            if hi == lo:
-                continue
-            idx = choose_in_edge(g.rev_probs[lo:hi], r[v])
-            if idx >= 0:
-                chosen[v] = g.rev_indices[lo + idx]
-        src_of_slot = np.repeat(np.arange(g.n), np.diff(g.fwd_indptr))
+        dst_of_slot = np.repeat(np.arange(g.n), g.indeg)
+        # j = number of running sums ≤ r_v; j == indeg(v) keeps no edge.
+        j = np.bincount(dst_of_slot[g.rev_cum <= r[dst_of_slot]], minlength=g.n)
+        keeps = j < g.indeg
+        chosen = np.full(g.n, -1, dtype=np.int64)
+        chosen[keeps] = g.rev_indices[g.rev_indptr[:-1][keeps] + j[keeps]]
+        src_of_slot = np.repeat(np.arange(g.n), g.outdeg)
         return Realization(
             graph=g, model=LT, live_fwd=chosen[g.fwd_indices] == src_of_slot
         )

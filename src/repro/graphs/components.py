@@ -12,12 +12,17 @@ import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
+# Min-label propagation settles in (component diameter + 1) rounds; social
+# graphs have small diameter.
+MAX_ITER = 64
 
-def components_spark(edges: DataFrame, *, max_iter: int = 64) -> DataFrame:
+
+def components_spark(edges: DataFrame) -> DataFrame:
     """(node, component) with component = min node id reachable (weakly).
 
     ``edges`` is a directed ``src``/``dst`` DataFrame; weak connectivity
-    symmetrizes it.
+    symmetrizes it. Raises ``RuntimeError`` if the labels have not
+    converged after ``MAX_ITER`` rounds.
     """
     sym = edges.select("src", "dst").union(
         edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
@@ -29,7 +34,7 @@ def components_spark(edges: DataFrame, *, max_iter: int = 64) -> DataFrame:
         .withColumn("component", F.col("node"))
         .localCheckpoint(eager=True)
     )
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         # Candidate label from each neighbor, then min with own label.
         nbr_min = (
             sym.join(labels, sym.dst == labels.node)
@@ -61,6 +66,8 @@ def components_spark(edges: DataFrame, *, max_iter: int = 64) -> DataFrame:
         labels = new_labels
         if changed == 0:
             break
+    else:
+        raise RuntimeError(f"labels did not converge in {MAX_ITER} rounds")
     sym.unpersist()
     return labels
 

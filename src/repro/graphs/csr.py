@@ -29,6 +29,8 @@ class GraphCSR:
     rev_indptr, rev_indices : in-adjacency, CSR over destination node.
     rev_probs : p(u, v) aligned with ``rev_indices``; under weighted
         cascade all in-edges of ``v`` share ``1/indeg(v)``.
+    rev_cum : each node's running in-weight sums (``np.cumsum`` of its
+        ``rev_probs`` slice, bit for bit), for LT live-edge choices.
     indeg, outdeg : degree arrays.
     """
 
@@ -40,6 +42,7 @@ class GraphCSR:
     rev_indptr: np.ndarray
     rev_indices: np.ndarray
     rev_probs: np.ndarray
+    rev_cum: np.ndarray
     indeg: np.ndarray
     outdeg: np.ndarray
     _bc: dict = field(default_factory=dict, repr=False)
@@ -85,6 +88,12 @@ class GraphCSR:
         np.cumsum(indeg, out=rev_indptr[1:])
         rev_indices = src[order_r]
         rev_probs = p_edge[order_r]
+        # Step k adds slot k − 1 into slot k of every node with more than k
+        # in-edges: the left-to-right order np.cumsum adds in.
+        rev_cum = rev_probs.copy()
+        for k in range(1, int(indeg.max(initial=0))):
+            slots = rev_indptr[:-1][indeg > k] + k
+            rev_cum[slots] += rev_cum[slots - 1]
         return GraphCSR(
             n=n,
             m=m,
@@ -94,6 +103,7 @@ class GraphCSR:
             rev_indptr=rev_indptr,
             rev_indices=rev_indices,
             rev_probs=rev_probs,
+            rev_cum=rev_cum,
             indeg=indeg,
             outdeg=outdeg,
         )
@@ -112,12 +122,14 @@ class GraphCSR:
         return self.rev_indices[self.rev_indptr[v] : self.rev_indptr[v + 1]]
 
     def payload(self) -> dict:
-        """What executors read: ``n`` and the reverse CSR (broadcast once)."""
+        """What executors read: ``n``, the reverse CSR and its LT running
+        sums (broadcast once)."""
         return {
             "n": self.n,
             "rev_indptr": self.rev_indptr,
             "rev_indices": self.rev_indices,
             "rev_probs": self.rev_probs,
+            "rev_cum": self.rev_cum,
         }
 
     def broadcast(self, spark: SparkSession):

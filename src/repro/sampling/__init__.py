@@ -6,6 +6,7 @@ roots where ``k`` is randomized-rounded so ``E[k] = n/η``, giving the
 binary estimator ``Γ̃(S) = η·1[S ∩ R ≠ ∅]`` the Theorem 3.3 sandwich
 ``(1−1/e)·E[Γ(S)] ≤ E[Γ̃(S)] ≤ E[Γ(S)]``. Single-root RR sets (Borgs et
 al.) for the ATEUC/ADAPTIM baselines are the ``roots="rr"`` mode of the
-same samplers. Venue choice and the CSR set pool live in
-``repro.core.trim.sample_pool``.
+same sampler. ``repro.sampling.mrr.sample_pool`` is the one sampler entry
+point: it checks its inputs, chooses the local or Spark venue and returns
+the sets as one CSR pool ``(indptr, members)``.
 """

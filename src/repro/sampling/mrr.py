@@ -7,19 +7,22 @@ from the still-active nodes; (3) run a stochastic reverse BFS from the
 roots — IC flips each in-edge with probability ``p(u, v)`` the first
 time it is examined (each edge is examined at most once per set, so the
 statuses are consistent, exactly the argument in §3.3); LT lets each
-popped node keep its single live in-edge choice.
+popped node keep at most one live in-edge, found by one uniform draw
+searched in its running in-weight sums (``GraphCSR.rev_cum``).
 
 Single-root RR sets (Borgs et al.) for the baselines are the
 ``roots="rr"`` mode of the same machinery: ``k = 1``, which gives the
 unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 
-Sets are drawn in blocks of ``BLOCK`` ids; block ``j`` is seeded by the
-stream ``substream(seed, j)`` alone, so set ``i`` is the same whether
-the driver (``sample_sets_local``) or a Spark task (``sample_sets_pairs``,
-one ``mapInPandas`` row per block over a broadcast reverse CSR) draws
-it. ``core/trim.sample_pool`` chooses the venue and turns either output
-into one CSR pool. ``substream`` is the one seed-derivation rule: every
-caller appends its own key (run, round, iteration, block) to the path.
+``sample_pool``, the one sampler entry point, checks its inputs on the
+driver, chooses the venue and returns one CSR pool ``(indptr, members)``.
+Sets are drawn in blocks of ``BLOCK`` ids, each a CSR ``(sizes,
+members)`` seeded by the stream ``substream(seed, j)`` alone, so set
+``i`` is the same whether the driver or a Spark task
+(``sample_sets_pairs``, one ``mapInPandas`` row per block over a
+broadcast reverse CSR) draws it. ``substream`` is the one
+seed-derivation rule: every caller appends its own key (run, round,
+iteration, block) to the path.
 """
 from typing import Iterator
 
@@ -28,7 +31,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.diffusion.realization import IC, choose_in_edge
+from repro.diffusion.realization import IC, LT, check_lt
 from repro.graphs.csr import GraphCSR
 
 PAIRS_SCHEMA = StructType(
@@ -38,6 +41,15 @@ PAIRS_SCHEMA = StructType(
 # Sets are sampled in blocks of this many ids; block j is seeded by
 # (seed, j) alone, so the sets never depend on the venue or partitioning.
 BLOCK = 256
+
+# Below this many sets, executor fan-out costs more than it saves
+# (measured ~0.4 s/job overhead vs milliseconds of local sampling at
+# lite scale); the schedule still matches the paper, only the execution
+# venue changes.
+SPARK_MIN_SETS = 4096
+
+Pool = tuple[np.ndarray, np.ndarray]
+EMPTY_POOL: Pool = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 Seed = int | np.random.SeedSequence
 
@@ -72,6 +84,7 @@ def _reverse_bfs(
     rev_indptr = payload["rev_indptr"]
     rev_indices = payload["rev_indices"]
     rev_probs = payload["rev_probs"]
+    rev_cum = payload["rev_cum"]
     visited = {int(v) for v in roots}
     frontier = list(visited)
     while frontier:
@@ -83,9 +96,9 @@ def _reverse_bfs(
             if model == IC:
                 coins = rng.random(hi - lo) < rev_probs[lo:hi]
                 srcs = rev_indices[lo:hi][coins]
-            else:  # LT: the node keeps exactly one live in-edge.
-                j = choose_in_edge(rev_probs[lo:hi], rng.random())
-                srcs = rev_indices[lo + j : lo + j + 1] if j >= 0 else rev_indices[:0]
+            else:  # LT: the node keeps at most one live in-edge.
+                j = np.searchsorted(rev_cum[lo:hi], rng.random(), side="right")
+                srcs = rev_indices[lo + j : hi][:1]
             for u in srcs.tolist():
                 if active[u] and u not in visited:
                     visited.add(u)
@@ -103,23 +116,33 @@ def _sample_block(
     n_sets: int,
     seed: Seed,
     j: int,
-) -> list[tuple[int, np.ndarray]]:
+) -> Pool:
     """Block ``j`` of ``n_sets`` sets: ids ``j·BLOCK …`` (below ``n_sets``),
-    drawn from the stream ``(seed, j)`` only; list of (set_id, members)."""
-    if roots not in ("mrr", "rr"):
-        raise ValueError(f"unknown roots mode {roots!r}")
+    drawn from the stream ``(seed, j)`` only, as CSR ``(sizes, members)``."""
     rng = np.random.default_rng(substream(seed, j))
     active_idx = np.nonzero(active)[0]
     n_i = len(active_idx)
-    out = []
-    for set_id in range(j * BLOCK, min((j + 1) * BLOCK, n_sets)):
+    sets = []
+    for _ in range(min(BLOCK, n_sets - j * BLOCK)):
         k = sample_root_size(n_i, eta_i, rng) if roots == "mrr" else 1
         root_nodes = active_idx[rng.choice(n_i, size=k, replace=False)]
-        out.append((set_id, _reverse_bfs(payload, active, root_nodes, rng, model)))
-    return out
+        sets.append(_reverse_bfs(payload, active, root_nodes, rng, model))
+    return np.array([len(m) for m in sets], dtype=np.int64), np.concatenate(sets)
 
 
-def sample_sets_local(
+def _check_inputs(g: GraphCSR, active: np.ndarray, model: str, roots: str) -> None:
+    """An unknown ``roots``, an all-false ``active`` or LT in-weights
+    above 1 raise ``ValueError`` on the driver."""
+    if roots not in ("mrr", "rr"):
+        raise ValueError(f"unknown roots mode {roots!r}")
+    if not active.any():
+        raise ValueError("no active nodes to sample roots from")
+    if model == LT:
+        check_lt(g)
+
+
+def sample_pool(
+    spark: SparkSession | None,
     g: GraphCSR,
     active: np.ndarray,
     eta_i: int,
@@ -127,15 +150,46 @@ def sample_sets_local(
     n_sets: int,
     seed: Seed,
     *,
-    roots: str = "mrr",
-) -> list[tuple[int, np.ndarray]]:
-    """Sets ``0 .. n_sets − 1`` sampled on the driver, block by block."""
-    payload = g.payload()
-    return [
-        s
-        for j in range(-(-n_sets // BLOCK))
-        for s in _sample_block(payload, active, eta_i, model, roots, n_sets, seed, j)
-    ]
+    roots: str,
+) -> Pool:
+    """``n_sets`` fresh sets as a CSR pool ``(indptr, members)``.
+
+    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. Without
+    Spark (``spark=None``), or below ``SPARK_MIN_SETS``, the driver
+    samples the blocks and concatenates them; otherwise Spark executors
+    sample them and the membership rows are collected and stably sorted
+    by set id. The pool depends only on the arguments, not on the venue.
+    Bad input raises ``ValueError`` before any set is drawn.
+    """
+    if spark is None or n_sets < SPARK_MIN_SETS:
+        _check_inputs(g, active, model, roots)
+        payload = g.payload()
+        blocks = [
+            _sample_block(payload, active, eta_i, model, roots, n_sets, seed, j)
+            for j in range(-(-n_sets // BLOCK))
+        ]
+        sizes = np.concatenate([s for s, _ in blocks] + [EMPTY_POOL[1]])
+        members = np.concatenate([m for _, m in blocks] + [EMPTY_POOL[1]])
+    else:
+        pairs = sample_sets_pairs(
+            spark, g, active, eta_i, model, n_sets, seed, roots=roots
+        ).toPandas()
+        set_ids = pairs["set_id"].to_numpy(np.int64)
+        order = np.argsort(set_ids, kind="stable")
+        members = pairs["node"].to_numpy(np.int64)[order]
+        sizes = np.bincount(set_ids, minlength=n_sets)
+    indptr = np.zeros(n_sets + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr, members
+
+
+def extend_pool(pool: Pool, more: Pool) -> Pool:
+    """The CSR pool holding ``pool``'s sets followed by ``more``'s."""
+    indptr, members = pool
+    return (
+        np.concatenate([indptr, more[0][1:] + indptr[-1]]),
+        np.concatenate([members, more[1]]),
+    )
 
 
 def sample_sets_pairs(
@@ -149,16 +203,16 @@ def sample_sets_pairs(
     *,
     roots: str = "mrr",
 ) -> DataFrame:
-    """Distributed generation: DataFrame of (set_id, node) membership rows.
+    """The Spark venue: DataFrame of (set_id, node) membership rows.
 
     One task row per block, in contiguous ranges over
     ``min(n_blocks, 2·defaultParallelism)`` partitions; each task
-    traverses the broadcast CSR payload. Set ids are ``0 .. n_sets − 1``
-    and every set equals ``sample_sets_local``'s at the same seed,
-    whatever the partitioning.
+    traverses the broadcast CSR payload and explodes its block CSRs into
+    rows. Set ids are ``0 .. n_sets − 1`` and every set equals the local
+    venue's at the same seed, whatever the partitioning. Inputs are
+    checked on the driver, as in ``sample_pool``.
     """
-    if not active.any():
-        raise ValueError("no active nodes to sample roots from")
+    _check_inputs(g, active, model, roots)
     n_blocks = -(-n_sets // BLOCK)
     bc = g.broadcast(spark)
     active_bytes = np.packbits(active)
@@ -166,20 +220,17 @@ def sample_sets_pairs(
     parts = min(n_blocks, 2 * spark.sparkContext.defaultParallelism)
     tasks_df = spark.range(0, n_blocks, 1, parts).toDF("block")
 
-    def gen(blocks: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         payload = bc.value
         act = np.unpackbits(active_bytes, count=n).astype(bool)
-        for pdf in blocks:
-            ids, members = zip(
-                *(
-                    s
-                    for j in pdf["block"].tolist()
-                    for s in _sample_block(payload, act, eta_i, model, roots, n_sets, seed, j)
-                )
+        for pdf in batches:
+            js = pdf["block"].tolist()
+            sizes, members = zip(
+                *(_sample_block(payload, act, eta_i, model, roots, n_sets, seed, j) for j in js)
             )
-            sizes = [len(m) for m in members]
+            ids = np.concatenate([j * BLOCK + np.arange(len(s)) for j, s in zip(js, sizes)])
             yield pd.DataFrame(
-                {"set_id": np.repeat(ids, sizes), "node": np.concatenate(members)}
+                {"set_id": np.repeat(ids, np.concatenate(sizes)), "node": np.concatenate(members)}
             )
 
     return tasks_df.mapInPandas(gen, schema=PAIRS_SCHEMA)

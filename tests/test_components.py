@@ -2,6 +2,7 @@
 import pandas as pd
 import pytest
 
+import repro.graphs.components as components
 from repro.graphs.components import (
     components_local,
     components_spark,
@@ -44,6 +45,15 @@ def test_lwcc_spark_handcrafted(spark, pairs, n, expected_lwcc):
     df = spark.createDataFrame(_edges(pairs))
     assert lwcc_size_spark(df) == expected_lwcc
     assert lwcc_size_local(_edges(pairs), n) == expected_lwcc
+
+
+def test_components_spark_raises_when_not_converged(spark, monkeypatch):
+    """The 10-node path needs 10 rounds; stopping after 3 would leave
+    labels that are not the component minimum."""
+    monkeypatch.setattr(components, "MAX_ITER", 3)
+    df = spark.createDataFrame(_edges([(i, i + 1) for i in range(9)]))
+    with pytest.raises(RuntimeError, match="converge"):
+        components_spark(df)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

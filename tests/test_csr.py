@@ -64,8 +64,24 @@ def test_edges_pdf_round_trip(diamond):
 
 
 def test_payload_keys(diamond):
-    # Executors only run the reverse BFS, so only the reverse CSR ships.
-    assert set(diamond.payload()) == {"n", "rev_indptr", "rev_indices", "rev_probs"}
+    # Executors only run the reverse BFS, so only the reverse CSR and its
+    # LT running sums ship.
+    assert set(diamond.payload()) == {"n", "rev_indptr", "rev_indices", "rev_probs", "rev_cum"}
+
+
+def zero_indeg_graph():
+    """Nodes 0, 2 and 5 have no in-edges; node 4's in-weights 0.1, 0.2,
+    0.3 sum differently in another order of addition."""
+    edges = pd.DataFrame({"src": [0, 2, 5, 1, 3], "dst": [1, 4, 4, 3, 4]})
+    return GraphCSR.from_edges(edges, n=6, probs=np.array([0.7, 0.1, 0.2, 0.9, 0.3]))
+
+
+@pytest.mark.parametrize("name", [*DATASETS, "zero_indeg"])
+def test_rev_cum_is_cumsum_per_node(name):
+    g = zero_indeg_graph() if name == "zero_indeg" else dataset_csr(name)
+    for v in range(g.n):
+        lo, hi = g.rev_indptr[v], g.rev_indptr[v + 1]
+        assert g.rev_cum[lo:hi].tobytes() == np.cumsum(g.rev_probs[lo:hi]).tobytes()
 
 
 @pytest.mark.parametrize("probs", [[0.5, 1.5], [-0.1, 0.5], [np.nan, 0.5]])

@@ -1,10 +1,13 @@
 """mRR-set sampling (paper §3.3): root-size law, Theorem 3.3 sandwich,
-RR-set truncation bias, and the distributed pairs path vs its oracle."""
+RR-set truncation bias, the CSR pool ``sample_pool`` returns and its
+input checks on either venue, and the distributed pairs path vs its
+oracle. Coverage Λ_R(v) is read off the pool as ``np.bincount(members)``:
+a set never holds a node twice."""
 import numpy as np
 import pandas as pd
 import pytest
 
-import repro.core.trim as trim_mod
+import repro.sampling.mrr as mrr
 from repro.diffusion.propagate import (
     exact_expected_spread,
     spread_local,
@@ -15,16 +18,11 @@ from repro.graphs.csr import GraphCSR
 from repro.oracle import assert_equivalent
 from repro.sampling.mrr import (
     BLOCK,
+    sample_pool,
     sample_root_size,
-    sample_sets_local,
     sample_sets_pairs,
     substream,
 )
-
-
-def sample_rr_local(g, active, model, n_sets, seed):
-    """Single-root RR sets: the sampler's ``roots="rr"`` mode."""
-    return sample_sets_local(g, active, 1, model, n_sets, seed, roots="rr")
 
 
 @pytest.mark.parametrize("n_i,eta_i", [(10, 3), (100, 7), (4, 2), (1000, 999)])
@@ -53,20 +51,18 @@ def test_members_are_active_and_contain_roots(small_cl_graph):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[:40] = False
-    sets = sample_sets_local(g, active, 20, IC, 50, seed=3)
-    for sid, members in sets:
-        assert len(members) > 0
-        assert active[members].all(), "inactive nodes never enter a set"
+    indptr, members = sample_pool(None, g, active, 20, IC, 50, 3, roots="mrr")
+    assert (np.diff(indptr) > 0).all()
+    assert active[members].all(), "inactive nodes never enter a set"
 
 
 def test_local_deterministic(small_cl_graph):
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    a = sample_sets_local(g, active, 20, IC, 10, seed=9)
-    b = sample_sets_local(g, active, 20, IC, 10, seed=9)
-    for (ia, ma), (ib, mb) in zip(a, b):
-        assert ia == ib
-        np.testing.assert_array_equal(np.sort(ma), np.sort(mb))
+    a = sample_pool(None, g, active, 20, IC, 10, 9, roots="mrr")
+    b = sample_pool(None, g, active, 20, IC, 10, 9, roots="mrr")
+    for xa, xb in zip(a, b):
+        np.testing.assert_array_equal(xa, xb)
 
 
 def test_sets_do_not_depend_on_the_pool_size(small_cl_graph):
@@ -74,13 +70,11 @@ def test_sets_do_not_depend_on_the_pool_size(small_cl_graph):
     alone, so a smaller pool is a prefix of a larger one."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    big = sample_sets_local(g, active, 20, IC, BLOCK + 40, seed=9)
+    big_indptr, big_members = sample_pool(None, g, active, 20, IC, BLOCK + 40, 9, roots="mrr")
     for n_sets in (7, BLOCK, BLOCK + 1):
-        small = sample_sets_local(g, active, 20, IC, n_sets, seed=9)
-        assert len(small) == n_sets
-        for (ia, ma), (ib, mb) in zip(small, big):
-            assert ia == ib
-            np.testing.assert_array_equal(ma, mb)
+        indptr, members = sample_pool(None, g, active, 20, IC, n_sets, 9, roots="mrr")
+        np.testing.assert_array_equal(indptr, big_indptr[: n_sets + 1])
+        np.testing.assert_array_equal(members, big_members[: indptr[-1]])
 
 
 def test_old_additive_collision_now_distinct():
@@ -118,10 +112,9 @@ def test_key_length_matters():
 def test_rr_sets_single_root(small_cl_graph, model):
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    sets = sample_rr_local(g, active, model, 30, seed=4)
-    assert len(sets) == 30
-    for _, members in sets:
-        assert len(members) >= 1
+    indptr, _ = sample_pool(None, g, active, 1, model, 30, 4, roots="rr")
+    assert len(indptr) == 30 + 1
+    assert (np.diff(indptr) >= 1).all()
 
 
 def test_theorem_3_3_sandwich_ex23(ex23_graph):
@@ -130,10 +123,10 @@ def test_theorem_3_3_sandwich_ex23(ex23_graph):
     eta = 2
     active = np.ones(g.n, bool)
     n_sets = 20000
-    sets = sample_sets_local(g, active, eta, IC, n_sets, seed=5)
+    _, members = sample_pool(None, g, active, eta, IC, n_sets, 5, roots="mrr")
+    hits = np.bincount(members, minlength=g.n)
     for v in range(4):
-        hit = sum(1 for _, m in sets if v in m)
-        est = eta * hit / n_sets  # E[Γ̃({v})]
+        est = eta * hits[v] / n_sets  # E[Γ̃({v})]
         exact = exact_expected_spread(g, [v], eta=eta)
         assert est <= exact * 1.05
         assert est >= (1 - 1 / np.e) * exact * 0.95
@@ -149,11 +142,8 @@ def test_mrr_estimator_exact_values_ex23(ex23_graph):
     g = ex23_graph
     active = np.ones(g.n, bool)
     n_sets = 20000
-    sets = sample_sets_local(g, active, 2, IC, n_sets, seed=6)
-    cov = np.zeros(4)
-    for _, m in sets:
-        cov[m] += 1
-    est = 2 * cov / n_sets
+    _, members = sample_pool(None, g, active, 2, IC, n_sets, 6, roots="mrr")
+    est = 2 * np.bincount(members, minlength=g.n) / n_sets
     np.testing.assert_allclose(est, [1.75, 5 / 3, 5 / 3, 1.0], rtol=0.05)
 
 
@@ -177,10 +167,10 @@ def test_rr_truncation_bias(small_cl_graph):
     active = np.ones(g.n, bool)
     e_i, e_g = _mc_expected(g, [v], IC, eta)
     n_sets = 8000
-    rr = sample_rr_local(g, active, IC, n_sets, seed=7)
-    rr_est = eta * sum(1 for _, m in rr if v in m) / n_sets
-    mrr = sample_sets_local(g, active, eta, IC, n_sets, seed=8)
-    mrr_est = eta * sum(1 for _, m in mrr if v in m) / n_sets
+    _, rr = sample_pool(None, g, active, 1, IC, n_sets, 7, roots="rr")
+    rr_est = eta * np.bincount(rr, minlength=g.n)[v] / n_sets
+    _, mrr_members = sample_pool(None, g, active, eta, IC, n_sets, 8, roots="mrr")
+    mrr_est = eta * np.bincount(mrr_members, minlength=g.n)[v] / n_sets
     # RR underestimates by roughly η/n (here η/n = 1/30).
     assert rr_est == pytest.approx(eta / g.n * e_i, rel=0.3)
     assert rr_est < 0.5 * e_g
@@ -195,8 +185,8 @@ def test_rr_untruncated_unbiased(small_cl_graph):
     active = np.ones(g.n, bool)
     e_i, _ = _mc_expected(g, [v], IC, eta=g.n)
     n_sets = 8000
-    rr = sample_rr_local(g, active, IC, n_sets, seed=9)
-    est = g.n * sum(1 for _, m in rr if v in m) / n_sets
+    _, rr = sample_pool(None, g, active, 1, IC, n_sets, 9, roots="rr")
+    est = g.n * np.bincount(rr, minlength=g.n)[v] / n_sets
     assert est == pytest.approx(e_i, rel=0.15)
 
 
@@ -217,13 +207,11 @@ def test_spark_pairs_shape(spark, small_cl_graph, model):
 def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph, monkeypatch):
     """Λ_R(v) from the Spark venue's CSR pool equals the SQL GROUP BY
     oracle over the same membership rows."""
-    monkeypatch.setattr(trim_mod, "SPARK_MIN_SETS", 1)
+    monkeypatch.setattr(mrr, "SPARK_MIN_SETS", 1)
     g = small_cl_graph
     active = np.ones(g.n, bool)
     pdf = sample_sets_pairs(spark, g, active, 20, IC, 100, seed=11).toPandas()
-    indptr, members = trim_mod.sample_pool(
-        spark, g, active, 20, IC, 100, 11, roots="mrr"
-    )
+    indptr, members = sample_pool(spark, g, active, 20, IC, 100, 11, roots="mrr")
     np.testing.assert_array_equal(
         np.diff(indptr), np.bincount(pdf["set_id"], minlength=100)
     )
@@ -241,17 +229,29 @@ def test_spark_rejects_empty_active(spark, small_cl_graph):
         sample_sets_pairs(spark, g, np.zeros(g.n, bool), 5, IC, 10, seed=0)
 
 
-def test_unknown_roots_mode(small_cl_graph):
-    g = small_cl_graph
-    with pytest.raises(ValueError):
-        sample_sets_local(g, np.ones(g.n, bool), 5, IC, 1, seed=0, roots="xyz")
-
-
-def test_lt_rejects_in_weights_above_one():
-    """The reverse BFS applies the same LT rule as the forward sampler:
-    a root whose in-weights sum to 0.8 + 0.8 fails loudly."""
-    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
-    g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.8, 0.8]))
-    only_bad_root = np.array([True, False, False])
-    with pytest.raises(ValueError, match="sum to"):
-        sample_sets_local(g, only_bad_root, 1, LT, 4, seed=0)
+@pytest.mark.parametrize(
+    "case,match",
+    [
+        pytest.param("roots", "roots mode", id="roots"),
+        pytest.param("empty", "no active", id="empty"),
+        pytest.param("lt", "sum to", id="lt"),
+    ],
+)
+@pytest.mark.parametrize("venue", ["local", "spark"])
+def test_sample_pool_rejects_bad_input(spark, small_cl_graph, monkeypatch, venue, case, match):
+    """Either venue raises ValueError on the driver, before any job: for
+    an unknown roots mode, an all-false active mask, and LT in-weights
+    above 1 even at a node outside ``active``, which no BFS would reach."""
+    monkeypatch.setattr(mrr, "SPARK_MIN_SETS", 1)
+    g, active, model, roots = small_cl_graph, np.ones(small_cl_graph.n, bool), IC, "mrr"
+    if case == "roots":
+        roots = "xyz"
+    elif case == "empty":
+        active[:] = False
+    else:
+        # 0.8 + 0.8 into node 0: valid IC probabilities, no LT distribution.
+        edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
+        g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.8, 0.8]))
+        active, model = np.array([False, True, True]), LT
+    with pytest.raises(ValueError, match=match):
+        sample_pool(spark if venue == "spark" else None, g, active, 1, model, 4, 0, roots=roots)

@@ -3,13 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.diffusion.realization import (
-    IC,
-    LT,
-    choose_in_edge,
-    sample_realization,
-)
+from repro.diffusion.realization import IC, LT, sample_realization
 from repro.graphs.csr import GraphCSR
+from repro.sampling.mrr import sample_pool
 
 
 def live_in_count(g, real):
@@ -104,20 +100,20 @@ def test_unknown_model_rejected(tri):
         sample_realization(tri, "SIR", 0)
 
 
-def test_choose_in_edge_full_mass():
-    # weights sum to 1: always picks an index, proportional to weight.
-    w = np.array([0.25, 0.75])
-    assert choose_in_edge(w, 0.1) == 0
-    assert choose_in_edge(w, 0.25) == 1
-    assert choose_in_edge(w, 0.9) == 1
-
-
-def test_choose_in_edge_deficient_mass():
-    # weights sum to 0.5: r beyond the mass selects no edge (-1).
-    w = np.array([0.2, 0.3])
-    assert choose_in_edge(w, 0.1) == 0
-    assert choose_in_edge(w, 0.4) == 1
-    assert choose_in_edge(w, 0.7) == -1
+def test_lt_pick_frequencies_match_weights():
+    """Node 0's in-weights are 0.25 (from 1) and 0.75 (from 2). The forward
+    realization and the reverse RR BFS both keep 1 → 0 a quarter of the
+    time."""
+    edges = pd.DataFrame({"src": [1, 2], "dst": [0, 0]})
+    g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.25, 0.75]))
+    n_trials = 4000
+    fwd = sum(sample_realization(g, LT, s).is_live(1, 0) for s in range(n_trials))
+    assert fwd / n_trials == pytest.approx(0.25, abs=0.04)
+    # Only sets rooted at 0 have two members: 0 and its chosen in-neighbour.
+    indptr, members = sample_pool(None, g, np.ones(3, bool), 1, LT, 3 * n_trials, 0, roots="rr")
+    sizes = np.diff(indptr)
+    rev = members[np.repeat(sizes == 2, sizes)]
+    assert (rev == 1).sum() / (sizes == 2).sum() == pytest.approx(0.25, abs=0.04)
 
 
 def test_lt_respects_partial_weights():

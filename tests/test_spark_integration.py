@@ -1,23 +1,25 @@
 """Distributed-path integration: Spark fan-out inside TRIM (any b) and ASTI.
 
-The production threshold only engages executors for large batches; here
-we force the Spark branch (monkeypatched threshold) and assert it
-samples exactly the local branch's sets, so every selector picks the
-same seeds on either venue.
+The production threshold (``repro.sampling.mrr.SPARK_MIN_SETS``) only
+engages executors for large batches; here we force the Spark venue
+(monkeypatched threshold) and assert that ``sample_pool`` returns the
+local venue's CSR pool byte for byte, so every selector picks the same
+seeds on either venue.
 """
 import numpy as np
 import pytest
 
-import repro.core.trim as trim_mod
+import repro.sampling.mrr as mrr
 from repro.baselines.adaptim import adaptim
 from repro.core.asti import asti
-from repro.core.trim import sample_pool, trim
+from repro.core.trim import trim
 from repro.diffusion.realization import IC, LT
+from repro.sampling.mrr import sample_pool
 
 
 @pytest.fixture()
 def force_spark(monkeypatch):
-    monkeypatch.setattr(trim_mod, "SPARK_MIN_SETS", 1)
+    monkeypatch.setattr(mrr, "SPARK_MIN_SETS", 1)
 
 
 def test_trim_spark_branch(spark, small_cl_graph, force_spark):
@@ -52,9 +54,7 @@ def test_spark_and_local_pools_identical(spark, small_cl_graph, force_spark, mod
     indptr_l, members_l = sample_pool(None, g, active, eta_i, model, n_sets, 21, roots=roots)
     indptr_s, members_s = sample_pool(spark, g, active, eta_i, model, n_sets, 21, roots=roots)
     np.testing.assert_array_equal(indptr_s, indptr_l)
-    for j in range(n_sets):
-        lo, hi = indptr_l[j], indptr_l[j + 1]
-        assert set(members_s[lo:hi].tolist()) == set(members_l[lo:hi].tolist())
+    np.testing.assert_array_equal(members_s, members_l)
 
 
 @pytest.mark.parametrize(
