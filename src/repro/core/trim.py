@@ -114,8 +114,9 @@ def greedy_max_coverage(
             break
         if covered is None:  # counts are still the initial ones here
             sizes = np.diff(indptr)
-            set_of = np.repeat(np.arange(len(sizes)), sizes)
-            node_sets = set_of[np.argsort(members)]  # any order within a node works
+            # The set holding each member position, grouped by node (any
+            # order within a node works).
+            node_sets = np.searchsorted(indptr, np.argsort(members), side="right") - 1
             node_ptr = np.concatenate([[0], np.cumsum(counts)]).tolist()
             covered = np.zeros(len(sizes), dtype=bool)
         sets_v = node_sets[node_ptr[v] : node_ptr[v + 1]]

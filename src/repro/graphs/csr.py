@@ -45,7 +45,7 @@ class GraphCSR:
     rev_cum: np.ndarray
     indeg: np.ndarray
     outdeg: np.ndarray
-    _bc: dict = field(default_factory=dict, repr=False)
+    _bc: tuple = field(default=(None, None), repr=False)
 
     @staticmethod
     def from_edges(
@@ -133,8 +133,12 @@ class GraphCSR:
         }
 
     def broadcast(self, spark: SparkSession):
-        """Broadcast the CSR payload once per SparkSession and cache it."""
-        key = id(spark)
-        if key not in self._bc:
-            self._bc[key] = spark.sparkContext.broadcast(self.payload())
-        return self._bc[key]
+        """Broadcast the CSR payload once per SparkContext and cache it.
+
+        The cache holds the context itself, not its ``id``: a new context
+        can reuse a stopped one's id, and its broadcast would be dead.
+        """
+        sc = spark.sparkContext
+        if self._bc[0] is not sc:
+            self._bc = (sc, sc.broadcast(self.payload()))
+        return self._bc[1]

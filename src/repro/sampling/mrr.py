@@ -8,7 +8,7 @@ roots — IC flips each in-edge with probability ``p(u, v)`` the first
 time it is examined (each edge is examined at most once per set, so the
 statuses are consistent, exactly the argument in §3.3); LT lets each
 popped node keep at most one live in-edge, found by one uniform draw
-searched in its running in-weight sums (``GraphCSR.rev_cum``).
+compared with its running in-weight sums (``GraphCSR.rev_cum``).
 
 Single-root RR sets (Borgs et al.) for the baselines are the
 ``roots="rr"`` mode of the same machinery: ``k = 1``, which gives the
@@ -17,10 +17,12 @@ unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 ``sample_pool``, the one sampler entry point, checks its inputs on the
 driver, chooses the venue and returns one CSR pool ``(indptr, members)``.
 Sets are drawn in blocks of ``BLOCK`` ids, each a CSR ``(sizes,
-members)`` seeded by the stream ``substream(seed, j)`` alone, so set
-``i`` is the same whether the driver or a Spark task
-(``sample_sets_pairs``, one ``mapInPandas`` row per block over a
-broadcast reverse CSR) draws it. ``substream`` is the one
+members)`` seeded by the stream ``substream(seed, j)`` alone. One
+vectorized kernel draws a whole block: all root counts and roots at
+once, then one reverse BFS that advances every set's frontier together
+as flat keys ``s·n + v``. Set ``i`` is the same whether the driver or a
+Spark task (``sample_sets_pairs``, one ``mapInPandas`` row per block
+over a broadcast reverse CSR) draws it. ``substream`` is the one
 seed-derivation rule: every caller appends its own key (run, round,
 iteration, block) to the path.
 """
@@ -42,6 +44,10 @@ PAIRS_SCHEMA = StructType(
 # (seed, j) alone, so the sets never depend on the venue or partitioning.
 BLOCK = 256
 
+# A BFS step expands its frontier this many (set, node) keys at a time,
+# which bounds the step's temporaries; the sets do not depend on it.
+CHUNK = 1 << 13
+
 # Below this many sets, executor fan-out costs more than it saves
 # (measured ~0.4 s/job overhead vs milliseconds of local sampling at
 # lite scale); the schedule still matches the paper, only the execution
@@ -61,50 +67,96 @@ def substream(seed: Seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=key)
 
 
-def sample_root_size(n_i: int, eta_i: int, rng: np.random.Generator) -> int:
-    """Randomized-rounded root count with E[k] = n_i/η_i (Thm 3.3).
+def sample_root_size(
+    n_i: int, eta_i: int, rng: np.random.Generator, size: int | None = None
+):
+    """Randomized-rounded root counts with E[k] = n_i/η_i (Thm 3.3).
 
-    k = ⌊n_i/η_i⌋ + 1 with probability frac(n_i/η_i), else ⌊n_i/η_i⌋.
+    k = ⌊n_i/η_i⌋ + 1 with probability frac(n_i/η_i), else ⌊n_i/η_i⌋,
+    clipped to [1, n_i]: one count for ``size=None``, else an array of
+    ``size`` counts from one vectorized draw.
     """
     ratio = n_i / eta_i
     k_low = int(ratio)
-    r = ratio - k_low
-    k = k_low + 1 if rng.random() < r else k_low
-    return max(1, min(k, n_i))
+    return np.clip(k_low + (rng.random(size) < ratio - k_low), 1, n_i)
 
 
-def _reverse_bfs(
+def _draw_roots(
+    active_idx: np.ndarray,
+    k: np.ndarray,
+    n: int,
+    visited: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Keys ``s·n + v`` of every set's roots, marked in ``visited``: set
+    s gets a uniform ``k[s]``-subset of ``active_idx``.
+
+    Each round draws, for every set not yet full, as many uniform nodes
+    as it lacks and keeps the distinct new ones (the first k distinct
+    values of an i.i.d. sequence are a uniform k-subset). A set with
+    k > n_i/2 draws the n_i − k nodes it leaves out that way instead.
+    """
+    n_i = len(active_idx)
+    left_out = k > n_i / 2
+    need = np.where(left_out, n_i - k, k)
+    drawn = [EMPTY_POOL[1]]
+    while need.any():
+        owner = np.repeat(np.arange(len(k)), need)
+        keys = np.unique(owner * n + active_idx[rng.integers(n_i, size=len(owner))])
+        keys = keys[~visited[keys]]
+        visited[keys] = True
+        need -= np.bincount(keys // n, minlength=len(k))
+        drawn.append(keys)
+    keys = np.concatenate(drawn)
+    if not left_out.any():
+        return keys
+    out = left_out[keys // n]
+    rest = (np.nonzero(left_out)[0][:, None] * n + active_idx).ravel()
+    rest = rest[~visited[rest]]
+    visited[keys[out]] = False
+    visited[rest] = True
+    return np.sort(np.concatenate([keys[~out], rest]))
+
+
+def _expand(
     payload: dict,
     active: np.ndarray,
-    roots: np.ndarray,
-    rng: np.random.Generator,
+    visited: np.ndarray,
+    pairs: np.ndarray,
     model: str,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """One stochastic reverse BFS; returns the visited node ids."""
+    """One reverse-BFS step from the frontier keys ``pairs``: the sorted
+    keys of the active, unvisited in-neighbours they reach, marked in
+    ``visited``.
+
+    IC flips one coin per in-edge slot. LT draws one uniform r per pair
+    and keeps the node's in-edge j when j of its running in-weight sums
+    are ≤ r (none when all are), the rule of ``sample_realization``;
+    comparing slot by slot keeps the pick inside the node's own slots.
+    """
+    n = payload["n"]
     rev_indptr = payload["rev_indptr"]
-    rev_indices = payload["rev_indices"]
-    rev_probs = payload["rev_probs"]
-    rev_cum = payload["rev_cum"]
-    visited = {int(v) for v in roots}
-    frontier = list(visited)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            lo, hi = rev_indptr[v], rev_indptr[v + 1]
-            if hi == lo:
-                continue
-            if model == IC:
-                coins = rng.random(hi - lo) < rev_probs[lo:hi]
-                srcs = rev_indices[lo:hi][coins]
-            else:  # LT: the node keeps at most one live in-edge.
-                j = np.searchsorted(rev_cum[lo:hi], rng.random(), side="right")
-                srcs = rev_indices[lo + j : hi][:1]
-            for u in srcs.tolist():
-                if active[u] and u not in visited:
-                    visited.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return np.fromiter(visited, dtype=np.int64, count=len(visited))
+    v = pairs % n
+    lo = rev_indptr[v]
+    deg = rev_indptr[v + 1] - lo
+    pair_of = np.repeat(np.arange(len(pairs)), deg)
+    slots = np.arange(len(pair_of)) + (lo - np.cumsum(deg) + deg)[pair_of]
+    if model == IC:
+        hit = rng.random(len(slots)) < payload["rev_probs"][slots]
+        src, owner = slots[hit], pair_of[hit]
+    else:
+        r = rng.random(len(pairs))
+        j = np.bincount(
+            pair_of[payload["rev_cum"][slots] <= r[pair_of]], minlength=len(pairs)
+        )
+        owner = np.nonzero(j < deg)[0]
+        src = lo[owner] + j[owner]
+    u = payload["rev_indices"][src]
+    keys = pairs[owner] - v[owner] + u
+    keys = np.unique(keys[active[u] & ~visited[keys]])
+    visited[keys] = True
+    return keys
 
 
 def _sample_block(
@@ -118,16 +170,36 @@ def _sample_block(
     j: int,
 ) -> Pool:
     """Block ``j`` of ``n_sets`` sets: ids ``j·BLOCK …`` (below ``n_sets``),
-    drawn from the stream ``(seed, j)`` only, as CSR ``(sizes, members)``."""
+    drawn from the stream ``(seed, j)`` only, as CSR ``(sizes, members)``.
+
+    All ``BLOCK`` sets are drawn and the block is then cut to the ids
+    below ``n_sets``, so the stream never depends on the pool size. The
+    sets' BFSs advance together as keys ``s·n + v`` against one bitmap
+    of ``BLOCK·n`` flags, touched only at keys; each step's frontier is
+    expanded ``CHUNK`` keys at a time and sorted, so the draws, and the
+    sets, do not depend on ``CHUNK``.
+    """
     rng = np.random.default_rng(substream(seed, j))
+    n = payload["n"]
     active_idx = np.nonzero(active)[0]
-    n_i = len(active_idx)
-    sets = []
-    for _ in range(min(BLOCK, n_sets - j * BLOCK)):
-        k = sample_root_size(n_i, eta_i, rng) if roots == "mrr" else 1
-        root_nodes = active_idx[rng.choice(n_i, size=k, replace=False)]
-        sets.append(_reverse_bfs(payload, active, root_nodes, rng, model))
-    return np.array([len(m) for m in sets], dtype=np.int64), np.concatenate(sets)
+    if roots == "mrr":
+        k = sample_root_size(len(active_idx), eta_i, rng, BLOCK)
+    else:
+        k = np.ones(BLOCK, dtype=np.int64)
+    visited = np.zeros(BLOCK * n, dtype=bool)
+    frontier = _draw_roots(active_idx, k, n, visited, rng)
+    found = [frontier]
+    while len(frontier):
+        frontier = np.sort(np.concatenate([
+            _expand(payload, active, visited, frontier[c : c + CHUNK], model, rng)
+            for c in range(0, len(frontier), CHUNK)
+        ]))
+        found.append(frontier)
+    n_take = min(BLOCK, n_sets - j * BLOCK)
+    keys = np.sort(np.concatenate(found))
+    keys = keys[: np.searchsorted(keys, n_take * n)]
+    set_of = keys // n
+    return np.bincount(set_of, minlength=n_take), keys - set_of * n
 
 
 def _check_inputs(g: GraphCSR, active: np.ndarray, model: str, roots: str) -> None:

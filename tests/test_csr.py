@@ -1,4 +1,6 @@
 """Tests for the CSR graph representation (DESIGN.md S1)."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -122,6 +124,33 @@ def test_broadcast_cached(spark, diamond):
     b2 = diamond.broadcast(spark)
     assert b1 is b2
     assert b1.value["n"] == 4
+
+
+class _StubContext:
+    """Counts the payloads broadcast through it."""
+
+    def __init__(self):
+        self.sent = []
+
+    def broadcast(self, value):
+        self.sent.append(value)
+        return SimpleNamespace(value=value)
+
+
+def test_broadcast_once_per_context():
+    """A second session over the same context reuses its broadcast; a
+    session whose context was replaced (a restart at the same session
+    id) gets a fresh one, never the dead context's."""
+    edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+    g = GraphCSR.from_edges(edges, n=3)
+    old, new = _StubContext(), _StubContext()
+    session = SimpleNamespace(sparkContext=old)
+    b_old = g.broadcast(session)
+    assert g.broadcast(SimpleNamespace(sparkContext=old)) is b_old
+    session.sparkContext = new
+    b_new = g.broadcast(session)
+    assert b_new is not b_old and g.broadcast(session) is b_new
+    assert len(old.sent) == 1 and len(new.sent) == 1
 
 
 def test_n_inferred_when_omitted():

@@ -2,7 +2,11 @@
 RR-set truncation bias, the CSR pool ``sample_pool`` returns and its
 input checks on either venue, and the distributed pairs path vs its
 oracle. Coverage Λ_R(v) is read off the pool as ``np.bincount(members)``:
-a set never holds a node twice."""
+a set never holds a node twice.
+
+The block kernel is checked against ``_reference_pool``, a per-set
+Python BFS (the kernel it replaced): the two draw from different
+streams, so they are compared in distribution."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -23,6 +27,158 @@ from repro.sampling.mrr import (
     sample_sets_pairs,
     substream,
 )
+from tests.pools import csr_pool
+
+
+def _reference_bfs(payload, active, roots, rng, model):
+    """One stochastic reverse BFS from ``roots``; the visited node ids."""
+    rev_indptr, rev_indices = payload["rev_indptr"], payload["rev_indices"]
+    visited = {int(v) for v in roots}
+    frontier = list(visited)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            lo, hi = rev_indptr[v], rev_indptr[v + 1]
+            if hi == lo:
+                continue
+            if model == IC:
+                coins = rng.random(hi - lo) < payload["rev_probs"][lo:hi]
+                srcs = rev_indices[lo:hi][coins]
+            else:  # LT: the node keeps at most one live in-edge.
+                j = np.searchsorted(payload["rev_cum"][lo:hi], rng.random(), side="right")
+                srcs = rev_indices[lo + j : hi][:1]
+            for u in srcs.tolist():
+                if active[u] and u not in visited:
+                    visited.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(visited)
+
+
+def _reference_pool(g, active, eta_i, model, roots, n_sets, seed):
+    """``n_sets`` sets drawn one at a time: k from the root-size law, k
+    roots by ``rng.choice`` without replacement, one reverse BFS each."""
+    rng = np.random.default_rng(seed)
+    payload = g.payload()
+    active_idx = np.nonzero(active)[0]
+    sets = []
+    for _ in range(n_sets):
+        k = sample_root_size(len(active_idx), eta_i, rng) if roots == "mrr" else 1
+        root_nodes = active_idx[rng.choice(len(active_idx), size=k, replace=False)]
+        sets.append(_reference_bfs(payload, active, root_nodes, rng, model))
+    return csr_pool(sets)
+
+
+# Every statistical comparison below allows Z standard errors: at
+# Z = 5 one comparison fails by chance with probability 5.7e-7, so a
+# test making up to 600 of them fails by chance with probability below
+# 4e-4 (union bound).
+Z = 5.0
+
+
+@pytest.mark.parametrize("roots,eta_i", [("mrr", 15), ("rr", 1)])
+@pytest.mark.parametrize("model", [IC, LT])
+def test_kernel_matches_reference_sampler(small_cl_graph, model, roots, eta_i):
+    """Per-node hit frequencies and mean |R| of the block kernel and of
+    the per-set reference agree, with 10% of the nodes inactive.
+
+    Each node's hit count over N sets is binomial in either sampler, so
+    the two frequencies differ by Z·sqrt(2·p̄(1−p̄)/N) at most, with p̄
+    their mean, plus 1/N for the discreteness of rarely hit nodes; mean
+    |R| differs by Z·sqrt((s²_kernel + s²_ref)/N) at most."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[::10] = False
+    n_sets = 4000
+    kernel = sample_pool(None, g, active, eta_i, model, n_sets, 21, roots=roots)
+    ref = _reference_pool(g, active, eta_i, model, roots, n_sets, 22)
+    p_k, p_r = (np.bincount(m, minlength=g.n) / n_sets for _, m in (kernel, ref))
+    p_bar = (p_k + p_r) / 2
+    tol = Z * np.sqrt(2 * p_bar * (1 - p_bar) / n_sets) + 1 / n_sets
+    assert (np.abs(p_k - p_r) <= tol).all(), np.max(np.abs(p_k - p_r) - tol)
+    size_k, size_r = np.diff(kernel[0]), np.diff(ref[0])
+    se = np.sqrt((size_k.var(ddof=1) + size_r.var(ddof=1)) / n_sets)
+    assert abs(size_k.mean() - size_r.mean()) <= Z * se
+
+
+@pytest.mark.parametrize(
+    "eta_i",
+    [
+        pytest.param(5, id="k<=half"),  # k = 7 of n_i = 35
+        pytest.param(2, id="k>half"),  # k in {17, 18}: both branches per block
+        pytest.param(1, id="k=n_i"),
+    ],
+)
+def test_roots_are_uniform_distinct_active(eta_i):
+    """On a graph without edges a set is its roots: distinct, active,
+    k of them by the root-size law, and each active node a root with
+    probability E[k]/n_i (Z binomial standard errors over N sets)."""
+    n = 39
+    g = GraphCSR.from_edges(pd.DataFrame({"src": [], "dst": []}), n=n)
+    active = np.ones(n, bool)
+    active[::10] = False
+    n_i, n_sets = int(active.sum()), 3000
+    indptr, members = sample_pool(None, g, active, eta_i, IC, n_sets, 5, roots="mrr")
+    assert active[members].all()
+    sizes = np.diff(indptr)
+    set_of = np.repeat(np.arange(n_sets), sizes)
+    assert len(np.unique(set_of * n + members)) == len(members), "a root repeats"
+    ratio = n_i / eta_i
+    frac = ratio - int(ratio)
+    assert set(sizes.tolist()) <= {max(1, int(ratio)), min(n_i, int(ratio) + 1)}
+    assert abs(sizes.mean() - ratio) <= Z * np.sqrt(frac * (1 - frac) / n_sets)
+    p = ratio / n_i
+    hits = np.bincount(members, minlength=n)[active]
+    assert (np.abs(hits - n_sets * p) <= Z * np.sqrt(n_sets * p * (1 - p)) + 1).all()
+
+
+@pytest.mark.parametrize("roots,eta_i", [("mrr", 10), ("rr", 1)])
+@pytest.mark.parametrize("model", [IC, LT])
+def test_pool_does_not_depend_on_chunk(small_cl_graph, monkeypatch, model, roots, eta_i):
+    """Expanding the frontier 5 keys at a time gives the same bytes as
+    the default ``CHUNK``."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[::10] = False
+    default = sample_pool(None, g, active, eta_i, model, BLOCK + 40, 13, roots=roots)
+    monkeypatch.setattr(mrr, "CHUNK", 5)
+    small = sample_pool(None, g, active, eta_i, model, BLOCK + 40, 13, roots=roots)
+    for a, b in zip(default, small):
+        np.testing.assert_array_equal(a, b)
+
+
+class _LowUniforms:
+    """A generator whose uniforms all read 1e-12, below the 5e-10 excess
+    weight, with real integer draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, size=None):
+        return np.full(size, 1e-12)
+
+
+@pytest.mark.parametrize("draws", ["low", "random"])
+def test_lt_pick_stays_in_own_slots(monkeypatch, draws):
+    """Node 1's in-weights sum to 1 + 5e-10 and it follows the full-weight
+    node 0; node 2, full-weight, follows it. Every LT pick is an
+    in-neighbour of the node that picked it, also for uniforms below the
+    excess, where a search over all nodes' running sums can land in the
+    previous node's last slot."""
+    edges = pd.DataFrame({"src": [3, 4, 5, 6], "dst": [0, 1, 1, 2]})
+    g = GraphCSR.from_edges(edges, n=7, probs=np.array([1.0, 0.5, 0.5 + 5e-10, 1.0]))
+    if draws == "low":
+        monkeypatch.setattr(np.random, "default_rng", _LowUniforms)
+    active = np.ones(g.n, bool)
+    indptr, members = sample_pool(None, g, active, 1, LT, 2000, 3, roots="rr")
+    sets = np.split(members, indptr[1:-1])
+    for s in sets:  # sorted; nodes 3..6 have no in-edges, so root = s[0]
+        assert set(s[1:].tolist()) <= set(g.in_neighbors(s[0]).tolist())
+    if draws == "low":  # r below every running sum picks each node's first in-edge
+        assert {tuple(s.tolist()) for s in sets} >= {(0, 3), (1, 4), (2, 6)}
 
 
 @pytest.mark.parametrize("n_i,eta_i", [(10, 3), (100, 7), (4, 2), (1000, 999)])
