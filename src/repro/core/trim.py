@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.graphs.csr import GraphCSR
+from repro.graphs.csr import GraphCSR, row_slots
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
 from repro.sampling.mrr import EMPTY_POOL, Seed, extend_pool, sample_pool, substream
 
@@ -113,20 +113,15 @@ def greedy_max_coverage(
         if len(picks) == k:
             break
         if covered is None:  # counts are still the initial ones here
-            sizes = np.diff(indptr)
             # The set holding each member position, grouped by node (any
             # order within a node works).
             node_sets = np.searchsorted(indptr, np.argsort(members), side="right") - 1
             node_ptr = np.concatenate([[0], np.cumsum(counts)]).tolist()
-            covered = np.zeros(len(sizes), dtype=bool)
+            covered = np.zeros(len(indptr) - 1, dtype=bool)
         sets_v = node_sets[node_ptr[v] : node_ptr[v + 1]]
         new = sets_v[~covered[sets_v]]
         covered[new] = True
-        # Member positions of the newly covered sets, range by range.
-        lens = sizes[new]
-        ends = np.cumsum(lens)
-        pos = np.repeat(indptr[new] - ends + lens, lens) + np.arange(ends[-1])
-        np.subtract.at(counts, members[pos], 1)
+        np.subtract.at(counts, members[row_slots(indptr, new)[1]], 1)
     return picks, curve
 
 

@@ -1,7 +1,8 @@
 """Influence propagation: reachability over a realization's live edges.
 
 ``spread_local`` is the one forward BFS, over the forward CSR and the
-realization's live-edge mask (the same for IC and LT). The adaptive
+realization's live-edge mask (the same for IC and LT), vectorized one
+frontier level at a time like the reverse mRR/RR kernel. The adaptive
 harness uses it to *observe* a batch's actual influence (paper Alg. 1
 line 4); it supports an ``active`` mask so observation is restricted to
 still-inactive nodes, which is provably equivalent to full-graph
@@ -14,6 +15,7 @@ from itertools import product
 import numpy as np
 
 from repro.diffusion.realization import IC, Realization
+from repro.graphs.csr import row_slots
 
 
 def truncated(spread: int, eta: int) -> int:
@@ -29,25 +31,21 @@ def spread_local(
     """Nodes reached from ``seeds`` via live edges, as a sorted int array.
 
     ``active`` restricts traversal to a node subset (the residual graph);
-    seeds outside the mask are ignored. The returned array includes the
-    (active) seeds themselves.
+    seeds outside the mask are ignored and seeds may repeat. The returned
+    array includes the (active) seeds themselves.
     """
     g = real.graph
     if active is None:
         active = np.ones(g.n, dtype=bool)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    frontier = np.unique(seeds[active[seeds]])
     visited = np.zeros(g.n, dtype=bool)
-    frontier = [int(s) for s in seeds if active[int(s)] and not visited[int(s)]]
-    for s in frontier:
-        visited[s] = True
-    while frontier:
-        nxt = []
-        for u in frontier:
-            lo, hi = g.fwd_indptr[u], g.fwd_indptr[u + 1]
-            for v in g.fwd_indices[lo:hi][real.live_fwd[lo:hi]].tolist():
-                if active[v] and not visited[v]:
-                    visited[v] = True
-                    nxt.append(v)
-        frontier = nxt
+    visited[frontier] = True
+    while len(frontier):
+        slots = row_slots(g.fwd_indptr, frontier)[1]
+        v = g.fwd_indices[slots[real.live_fwd[slots]]]
+        frontier = np.unique(v[active[v] & ~visited[v]])
+        visited[frontier] = True
     return np.nonzero(visited)[0]
 
 

@@ -8,10 +8,10 @@ it the same way: one live flag per forward-CSR edge slot.
 - **LT**: each node v keeps at most one live in-edge, edge ⟨u, v⟩ with
   probability p(u, v) and none with the leftover mass 1 − Σ_u p(u, v);
   under weighted cascade the in-weights of v sum to 1 (each is
-  1/indeg(v)), so every node with indeg > 0 keeps one. It keeps in-edge
-  j for a draw r_v when j of its running in-weight sums
-  (``GraphCSR.rev_cum``) are ≤ r_v, as does the reverse mRR/RR BFS.
-  ``check_lt`` rejects in-weights that sum to more than 1.
+  1/indeg(v)), so every node with indeg > 0 keeps one. ``lt_pick``, the
+  one rule shared with the reverse mRR/RR BFS, keeps in-edge j for a draw
+  r_v when j of the running in-weight sums (``GraphCSR.rev_cum``) are
+  ≤ r_v. ``check_lt`` rejects in-weights that sum to more than 1.
 
 Spread under φ is then plain reachability over live edges, which is the
 classic live-edge equivalence of both models (Kempe et al.).
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.graphs.csr import GraphCSR
+from repro.graphs.csr import GraphCSR, row_slots
 
 IC = "IC"
 LT = "LT"
@@ -33,6 +33,17 @@ def check_lt(g: GraphCSR) -> None:
     totals = g.rev_cum[g.rev_indptr[1:][g.indeg > 0] - 1]
     if (totals > 1 + 1e-9).any():
         raise ValueError(f"LT in-weights sum to {totals.max()} > 1")
+
+
+def lt_pick(rev_indptr, rev_cum, nodes, r) -> tuple[np.ndarray, np.ndarray]:
+    """``(keep, slots)``: the positions in ``nodes`` that keep an LT live
+    in-edge and the reverse-CSR slot each keeps. ``nodes[i]`` keeps in-edge
+    j when j of its running sums are ≤ ``r[i]`` (none when all are), compared
+    in its own slots only, so even in-weights summing to 1 + ε pick there."""
+    owner, slots = row_slots(rev_indptr, nodes)
+    j = np.bincount(owner[rev_cum[slots] <= r[owner]], minlength=len(nodes))
+    keep = np.nonzero(j < rev_indptr[nodes + 1] - rev_indptr[nodes])[0]
+    return keep, rev_indptr[nodes[keep]] + j[keep]
 
 
 @dataclass
@@ -66,13 +77,9 @@ def sample_realization(g: GraphCSR, model: str, seed: int) -> Realization:
         return Realization(graph=g, model=IC, live_fwd=rng.random(g.m) < g.fwd_probs)
     if model == LT:
         check_lt(g)
-        r = rng.random(g.n)
-        dst_of_slot = np.repeat(np.arange(g.n), g.indeg)
-        # j = number of running sums ≤ r_v; j == indeg(v) keeps no edge.
-        j = np.bincount(dst_of_slot[g.rev_cum <= r[dst_of_slot]], minlength=g.n)
-        keeps = j < g.indeg
+        keep, slots = lt_pick(g.rev_indptr, g.rev_cum, np.arange(g.n), rng.random(g.n))
         chosen = np.full(g.n, -1, dtype=np.int64)
-        chosen[keeps] = g.rev_indices[g.rev_indptr[:-1][keeps] + j[keeps]]
+        chosen[keep] = g.rev_indices[slots]
         src_of_slot = np.repeat(np.arange(g.n), g.outdeg)
         return Realization(
             graph=g, model=LT, live_fwd=chosen[g.fwd_indices] == src_of_slot

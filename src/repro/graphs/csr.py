@@ -17,6 +17,16 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 
+def row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, slots)``: the CSR slots of ``rows`` (which may repeat or
+    be empty), row after row, and for each slot the position in ``rows``
+    of its row. Every CSR walk (both BFSs, LT picks, greedy) expands here."""
+    lo = indptr[rows]
+    deg = indptr[rows + 1] - lo
+    owner = np.repeat(np.arange(len(rows)), deg)
+    return owner, np.arange(len(owner)) + (lo - np.cumsum(deg) + deg)[owner]
+
+
 @dataclass
 class GraphCSR:
     """A directed graph with per-edge propagation probabilities in CSR form.

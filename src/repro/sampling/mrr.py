@@ -7,8 +7,8 @@ from the still-active nodes; (3) run a stochastic reverse BFS from the
 roots — IC flips each in-edge with probability ``p(u, v)`` the first
 time it is examined (each edge is examined at most once per set, so the
 statuses are consistent, exactly the argument in §3.3); LT lets each
-popped node keep at most one live in-edge, found by one uniform draw
-compared with its running in-weight sums (``GraphCSR.rev_cum``).
+popped node keep at most one live in-edge, picked from one uniform draw
+by ``realization.lt_pick``, the rule forward realizations use.
 
 Single-root RR sets (Borgs et al.) for the baselines are the
 ``roots="rr"`` mode of the same machinery: ``k = 1``, which gives the
@@ -33,8 +33,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.diffusion.realization import IC, LT, check_lt
-from repro.graphs.csr import GraphCSR
+from repro.diffusion.realization import IC, LT, check_lt, lt_pick
+from repro.graphs.csr import GraphCSR, row_slots
 
 PAIRS_SCHEMA = StructType(
     [StructField("set_id", LongType()), StructField("node", LongType())]
@@ -48,10 +48,11 @@ BLOCK = 256
 # which bounds the step's temporaries; the sets do not depend on it.
 CHUNK = 1 << 13
 
-# Below this many sets, executor fan-out costs more than it saves
-# (measured ~0.4 s/job overhead vs milliseconds of local sampling at
-# lite scale); the schedule still matches the paper, only the execution
-# venue changes.
+# Below this many sets, executor fan-out costs more than it saves. On 4
+# cores (local[4], IC) a warm Spark call took 0.74–1.03 s for 4,096–16,384
+# lite sets against 16–26 ms for 4,096 RR sets locally; Spark broke even
+# near 1.6M members per call and won at 3.2M (ROADMAP direction 5). Only
+# the execution venue changes, never the sets.
 SPARK_MIN_SETS = 4096
 
 Pool = tuple[np.ndarray, np.ndarray]
@@ -130,28 +131,20 @@ def _expand(
     keys of the active, unvisited in-neighbours they reach, marked in
     ``visited``.
 
-    IC flips one coin per in-edge slot. LT draws one uniform r per pair
-    and keeps the node's in-edge j when j of its running in-weight sums
-    are ≤ r (none when all are), the rule of ``sample_realization``;
-    comparing slot by slot keeps the pick inside the node's own slots.
+    IC flips one coin per in-edge slot. LT draws one uniform per pair
+    and keeps the in-edge ``lt_pick`` chooses, the rule of
+    ``sample_realization``.
     """
     n = payload["n"]
-    rev_indptr = payload["rev_indptr"]
     v = pairs % n
-    lo = rev_indptr[v]
-    deg = rev_indptr[v + 1] - lo
-    pair_of = np.repeat(np.arange(len(pairs)), deg)
-    slots = np.arange(len(pair_of)) + (lo - np.cumsum(deg) + deg)[pair_of]
     if model == IC:
+        pair_of, slots = row_slots(payload["rev_indptr"], v)
         hit = rng.random(len(slots)) < payload["rev_probs"][slots]
-        src, owner = slots[hit], pair_of[hit]
+        owner, src = pair_of[hit], slots[hit]
     else:
-        r = rng.random(len(pairs))
-        j = np.bincount(
-            pair_of[payload["rev_cum"][slots] <= r[pair_of]], minlength=len(pairs)
+        owner, src = lt_pick(
+            payload["rev_indptr"], payload["rev_cum"], v, rng.random(len(pairs))
         )
-        owner = np.nonzero(j < deg)[0]
-        src = lo[owner] + j[owner]
     u = payload["rev_indices"][src]
     keys = pairs[owner] - v[owner] + u
     keys = np.unique(keys[active[u] & ~visited[keys]])

@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graphs.csr import GraphCSR
+from repro.graphs.csr import GraphCSR, row_slots
 from repro.graphs.generator import DATASETS, dataset_csr
 
 
@@ -84,6 +84,26 @@ def test_rev_cum_is_cumsum_per_node(name):
     for v in range(g.n):
         lo, hi = g.rev_indptr[v], g.rev_indptr[v + 1]
         assert g.rev_cum[lo:hi].tobytes() == np.cumsum(g.rev_probs[lo:hi]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[], [0, 2, 5], [4, 4, 1, 4], [1, 3, 4, 0, 2, 5], [0, 0], [4]],
+    ids=["empty", "zero_degree", "repeated", "all", "zero_degree_repeated", "one"],
+)
+def test_row_slots_concatenates_row_ranges(rows):
+    """``row_slots`` equals the row ranges ``indptr[r] … indptr[r + 1] − 1``
+    laid end to end, each slot owned by its row's position in ``rows``."""
+    indptr = zero_indeg_graph().rev_indptr
+    rows = np.asarray(rows, dtype=np.int64)
+    owner, slots = row_slots(indptr, rows)
+    ranges = [np.arange(indptr[r], indptr[r + 1]) for r in rows]
+    want_slots = np.concatenate(ranges + [np.zeros(0, np.int64)])
+    want_owner = np.concatenate(
+        [np.full(len(s), i) for i, s in enumerate(ranges)] + [np.zeros(0, np.int64)]
+    )
+    np.testing.assert_array_equal(slots, want_slots)
+    np.testing.assert_array_equal(owner, want_owner)
 
 
 @pytest.mark.parametrize("probs", [[0.5, 1.5], [-0.1, 0.5], [np.nan, 0.5]])

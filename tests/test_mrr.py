@@ -167,7 +167,9 @@ def test_lt_pick_stays_in_own_slots(monkeypatch, draws):
     node 0; node 2, full-weight, follows it. Every LT pick is an
     in-neighbour of the node that picked it, also for uniforms below the
     excess, where a search over all nodes' running sums can land in the
-    previous node's last slot."""
+    previous node's last slot. The reverse RR BFS and the forward
+    realization share the rule; each in-weight sum is at least 1, so
+    every realization keeps exactly one in-edge of nodes 0, 1 and 2."""
     edges = pd.DataFrame({"src": [3, 4, 5, 6], "dst": [0, 1, 1, 2]})
     g = GraphCSR.from_edges(edges, n=7, probs=np.array([1.0, 0.5, 0.5 + 5e-10, 1.0]))
     if draws == "low":
@@ -177,8 +179,15 @@ def test_lt_pick_stays_in_own_slots(monkeypatch, draws):
     sets = np.split(members, indptr[1:-1])
     for s in sets:  # sorted; nodes 3..6 have no in-edges, so root = s[0]
         assert set(s[1:].tolist()) <= set(g.in_neighbors(s[0]).tolist())
+    reals = [sample_realization(g, LT, seed) for seed in range(200)]
+    for real in reals:
+        assert sorted(g.fwd_indices[real.live_fwd].tolist()) == [0, 1, 2]
+    live = {tuple(e) for real in reals for e in real.live_edges_pdf().to_numpy().tolist()}
     if draws == "low":  # r below every running sum picks each node's first in-edge
         assert {tuple(s.tolist()) for s in sets} >= {(0, 3), (1, 4), (2, 6)}
+        assert live == {(3, 0), (4, 1), (6, 2)}
+    else:
+        assert live == {(3, 0), (4, 1), (5, 1), (6, 2)}
 
 
 @pytest.mark.parametrize("n_i,eta_i", [(10, 3), (100, 7), (4, 2), (1000, 999)])

@@ -1,4 +1,5 @@
-"""Influence propagation: the local BFS against a DuckDB recursive oracle."""
+"""Influence propagation: the frontier BFS against the scalar BFS it
+replaced and a DuckDB recursive oracle."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,6 +7,27 @@ import pytest
 from repro.diffusion.propagate import exact_expected_spread, spread_local, truncated
 from repro.diffusion.realization import IC, LT, Realization, sample_realization
 from repro.oracle import assert_equivalent
+
+
+def _reference_spread(real, seeds, active=None):
+    """The scalar forward BFS: one Python step per node and live edge."""
+    g = real.graph
+    if active is None:
+        active = np.ones(g.n, dtype=bool)
+    visited = np.zeros(g.n, dtype=bool)
+    frontier = [int(s) for s in seeds if active[int(s)] and not visited[int(s)]]
+    for s in frontier:
+        visited[s] = True
+    while frontier:
+        nxt = []
+        for u in frontier:
+            lo, hi = g.fwd_indptr[u], g.fwd_indptr[u + 1]
+            for v in g.fwd_indices[lo:hi][real.live_fwd[lo:hi]].tolist():
+                if active[v] and not visited[v]:
+                    visited[v] = True
+                    nxt.append(v)
+        frontier = nxt
+    return np.nonzero(visited)[0]
 
 
 def _all_live(g):
@@ -38,6 +60,30 @@ def test_active_mask_restricts(line_graph):
     assert spread_local(real, [0], active).tolist() == [0, 1]
     # Inactive seeds are ignored entirely.
     assert spread_local(real, [2], active).tolist() == []
+
+
+@pytest.mark.parametrize("graph", ["small_cl_graph", "nethept_graph"])
+@pytest.mark.parametrize("model", [IC, LT])
+def test_spread_local_matches_reference_bfs(request, graph, model):
+    """The frontier BFS reaches exactly the scalar BFS's nodes, with and
+    without a random ``active`` mask, from seed lists with duplicates,
+    inactive seeds, no seed and every node."""
+    g = request.getfixturevalue(graph)
+    rng = np.random.default_rng(5)
+    for r in range(3):
+        real = sample_realization(g, model, r)
+        active = rng.random(g.n) < 0.7
+        inactive = np.nonzero(~active)[0]
+        seed_lists = [
+            [],
+            list(range(g.n)),
+            rng.integers(g.n, size=5).tolist() * 2,
+            [int(inactive[0]), *rng.integers(g.n, size=3).tolist(), int(inactive[-1])],
+        ]
+        for seeds in seed_lists:
+            for mask in (None, active):
+                want = _reference_spread(real, seeds, mask)
+                np.testing.assert_array_equal(spread_local(real, seeds, mask), want)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

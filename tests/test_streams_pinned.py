@@ -3,7 +3,8 @@ masks and the seed lists of every policy, at fixed seeds.
 
 A refactor that must keep every draw in the same order keeps every
 digest here. A change that alters a stream on purpose recomputes the
-table (``python -m tests.test_streams_pinned`` prints it) and says so.
+table (``python -m tests.test_streams_pinned``, with ``src`` on
+``PYTHONPATH``, prints it) and says so.
 
 - pools: ``sample_pool(None, …)`` of 1000 sets with every tenth node
   inactive, IC/LT × {mRR at η = n/5, mRR at η = n/50, RR} on
