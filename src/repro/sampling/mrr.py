@@ -15,7 +15,8 @@ Single-root RR sets (Borgs et al.) for the baselines are the
 unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 
 ``sample_pool``, the one sampler entry point, checks its inputs on the
-driver, chooses the venue and returns one CSR pool ``(indptr, members)``.
+driver, chooses the venue from the members of a pilot block and returns
+one CSR pool ``(indptr, members)``.
 Sets are drawn in blocks of ``BLOCK`` ids, each a CSR ``(sizes,
 members)`` seeded by the stream ``substream(seed, j)`` alone. One
 vectorized kernel draws a whole block: all root counts and roots at
@@ -26,6 +27,7 @@ over a broadcast reverse CSR) draws it. ``substream`` is the one
 seed-derivation rule: every caller appends its own key (run, round,
 iteration, block) to the path.
 """
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -48,12 +50,13 @@ BLOCK = 256
 # which bounds the step's temporaries; the sets do not depend on it.
 CHUNK = 1 << 13
 
-# Below this many sets, executor fan-out costs more than it saves. On 4
-# cores (local[4], IC) a warm Spark call took 0.74–1.03 s for 4,096–16,384
-# lite sets against 16–26 ms for 4,096 RR sets locally; Spark broke even
-# near 1.6M members per call and won at 3.2M (ROADMAP direction 5). Only
-# the execution venue changes, never the sets.
-SPARK_MIN_SETS = 4096
+# Below this many estimated members per call, executor fan-out costs
+# more than it saves. BENCH_venue.json (benchmarks/venue_crossover.py;
+# 4 cores, warm local[4], IC, RR and mRR, 4,096–65,536 lite sets) fits
+# local ≈ 0.04 s + 0.64 µs/member and Spark ≈ 0.85 s + 0.22 µs/member:
+# the lines meet near 1.96M members, rounded here to 2M. Only the
+# execution venue changes, never the sets.
+SPARK_MIN_MEMBERS = 2_000_000
 
 Pool = tuple[np.ndarray, np.ndarray]
 EMPTY_POOL: Pool = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -219,22 +222,25 @@ def sample_pool(
 ) -> Pool:
     """``n_sets`` fresh sets as a CSR pool ``(indptr, members)``.
 
-    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. Without
-    Spark (``spark=None``), or below ``SPARK_MIN_SETS``, the driver
-    samples the blocks and concatenates them; otherwise Spark executors
-    sample them and the membership rows are collected and stably sorted
-    by set id. The pool depends only on the arguments, not on the venue.
-    Bad input raises ``ValueError`` before any set is drawn.
+    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. The
+    driver always draws block 0 first; the call's members are estimated
+    as block 0's members times the block count. Without Spark
+    (``spark=None``), or below ``SPARK_MIN_MEMBERS``, the driver samples
+    the other blocks too and concatenates them. Otherwise Spark
+    executors sample every block, block 0 again, and the membership rows
+    are collected and stably sorted by set id. The pool depends only on
+    the arguments, not on the venue. Bad input raises ``ValueError``
+    before any set is drawn.
     """
-    if spark is None or n_sets < SPARK_MIN_SETS:
-        _check_inputs(g, active, model, roots)
-        payload = g.payload()
-        blocks = [
-            _sample_block(payload, active, eta_i, model, roots, n_sets, seed, j)
-            for j in range(-(-n_sets // BLOCK))
-        ]
-        sizes = np.concatenate([s for s, _ in blocks] + [EMPTY_POOL[1]])
-        members = np.concatenate([m for _, m in blocks] + [EMPTY_POOL[1]])
+    _check_inputs(g, active, model, roots)
+    payload = g.payload()
+    draw = partial(_sample_block, payload, active, eta_i, model, roots, n_sets, seed)
+    n_blocks = -(-n_sets // BLOCK)
+    blocks = [draw(0)]
+    if spark is None or len(blocks[0][1]) * n_blocks < SPARK_MIN_MEMBERS:
+        blocks += map(draw, range(1, n_blocks))
+        sizes = np.concatenate([s for s, _ in blocks])
+        members = np.concatenate([m for _, m in blocks])
     else:
         pairs = sample_sets_pairs(
             spark, g, active, eta_i, model, n_sets, seed, roots=roots

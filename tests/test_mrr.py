@@ -372,7 +372,7 @@ def test_spark_pairs_shape(spark, small_cl_graph, model):
 def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph, monkeypatch):
     """Λ_R(v) from the Spark venue's CSR pool equals the SQL GROUP BY
     oracle over the same membership rows."""
-    monkeypatch.setattr(mrr, "SPARK_MIN_SETS", 1)
+    monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", 0)
     g = small_cl_graph
     active = np.ones(g.n, bool)
     pdf = sample_sets_pairs(spark, g, active, 20, IC, 100, seed=11).toPandas()
@@ -386,6 +386,32 @@ def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph, monkeypatch):
     assert_equivalent(
         got, "SELECT node, count(*) AS cov FROM pairs GROUP BY node", pairs=pdf
     )
+
+
+def test_venue_follows_pilot_member_estimate(spark, nethept_graph, monkeypatch):
+    """One of ADAPTIM's RR doublings on nethept_lite (6,272 sets, ~13K
+    members) stays on the driver with a live session. Spark is chosen
+    exactly when block 0's members × the block count reach
+    ``SPARK_MIN_MEMBERS``, and the pool has the same bytes either way."""
+    g, n_sets, seed = nethept_graph, 6272, 3
+    active = np.ones(g.n, bool)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[5])
+        return sample_sets_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(mrr, "sample_sets_pairs", spy)
+    want = sample_pool(None, g, active, 1, IC, n_sets, seed, roots="rr")
+    estimate = int(want[0][BLOCK]) * -(-n_sets // BLOCK)
+    for threshold, venue in [(None, []), (estimate, [n_sets]), (estimate + 1, [])]:
+        if threshold is not None:
+            monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", threshold)
+        calls.clear()
+        got = sample_pool(spark, g, active, 1, IC, n_sets, seed, roots="rr")
+        assert calls == venue, threshold
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_spark_rejects_empty_active(spark, small_cl_graph):
@@ -407,7 +433,7 @@ def test_sample_pool_rejects_bad_input(spark, small_cl_graph, monkeypatch, venue
     """Either venue raises ValueError on the driver, before any job: for
     an unknown roots mode, an all-false active mask, and LT in-weights
     above 1 even at a node outside ``active``, which no BFS would reach."""
-    monkeypatch.setattr(mrr, "SPARK_MIN_SETS", 1)
+    monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", 0)
     g, active, model, roots = small_cl_graph, np.ones(small_cl_graph.n, bool), IC, "mrr"
     if case == "roots":
         roots = "xyz"

@@ -1,10 +1,10 @@
 """Distributed-path integration: Spark fan-out inside TRIM (any b) and ASTI.
 
-The production threshold (``repro.sampling.mrr.SPARK_MIN_SETS``) only
-engages executors for large batches; here we force the Spark venue
-(monkeypatched threshold) and assert that ``sample_pool`` returns the
-local venue's CSR pool byte for byte, so every selector picks the same
-seeds on either venue.
+The production threshold (``repro.sampling.mrr.SPARK_MIN_MEMBERS``)
+only engages executors for calls estimated at millions of members; here
+we force the Spark venue (the threshold monkeypatched to 0) and assert
+that ``sample_pool`` returns the local venue's CSR pool byte for byte,
+so every selector picks the same seeds on either venue.
 """
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from repro.sampling.mrr import sample_pool
 
 @pytest.fixture()
 def force_spark(monkeypatch):
-    monkeypatch.setattr(mrr, "SPARK_MIN_SETS", 1)
+    monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", 0)
 
 
 def test_trim_spark_branch(spark, small_cl_graph, force_spark):
