@@ -15,15 +15,21 @@ Single-root RR sets (Borgs et al.) for the baselines are the
 unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 
 ``sample_pool``, the one sampler entry point, checks its inputs on the
-driver, chooses the venue from the members of a pilot block and returns
-one CSR pool ``(indptr, members)``.
+driver, chooses the venue from the members of block 0, drawn first on
+the driver in the call's first batch, and returns one CSR pool
+``(indptr, members)``.
 Sets are drawn in blocks of ``BLOCK`` ids, each a CSR ``(sizes,
 members)`` seeded by the stream ``substream(seed, j)`` alone. One
-vectorized kernel draws a whole block: all root counts and roots at
-once, then one reverse BFS that advances every set's frontier together
-as flat keys ``s·n + v``. Set ``i`` is the same whether the driver or a
-Spark task (``sample_sets_pairs``, one ``mapInPandas`` row per block
-over a broadcast reverse CSR) draws it. ``substream`` is the one
+vectorized kernel, ``_sample_blocks``, draws a batch of consecutive
+blocks: all root counts and roots at once, then one reverse BFS that
+advances every set's frontier together as flat keys
+``(b·BLOCK + s)·n + v``, each block drawing from its own stream exactly
+as it would alone. ``blocks_per_batch`` sizes a batch: up to
+``RR_BATCH`` blocks of RR sets under a bounded bitmap, one block of mRR
+sets, whose many roots already fill a step. Set ``i`` is the same whether
+the driver or a Spark task (``sample_sets_pairs``, one ``mapInPandas``
+row per block over a broadcast reverse CSR, batched by the same rule)
+draws it, and whatever the batching. ``substream`` is the one
 seed-derivation rule: every caller appends its own key (run, round,
 iteration, block) to the path.
 """
@@ -50,12 +56,27 @@ BLOCK = 256
 # which bounds the step's temporaries; the sets do not depend on it.
 CHUNK = 1 << 13
 
+# One kernel call draws a batch of consecutive blocks with one reverse
+# BFS, so a step's fixed numpy cost is paid once per batch, not once per
+# block. An RR set has one root and ~2 members, so RR calls batch up to
+# this many blocks. mRR blocks run alone: with η_i/n_i ≤ 0.2 each set
+# has E[k] = n_i/η_i ≥ 5 roots, which already fill a step, and two
+# blocks per batch at E[k] ≈ 9 drew 1,024 livejournal_lite sets in
+# 36–41 ms against 24–25 ms one block at a time (4 cores).
+RR_BATCH = 8
+
+# ... and an RR batch's bitmap of len(js)·BLOCK·n flags stays within
+# this many bytes.
+BATCH_BITMAP = 8 << 20
+
 # Below this many estimated members per call, executor fan-out costs
 # more than it saves. BENCH_venue.json (benchmarks/venue_crossover.py;
 # 4 cores, warm local[4], IC, RR and mRR, 4,096–65,536 lite sets) fits
-# local ≈ 0.04 s + 0.64 µs/member and Spark ≈ 0.85 s + 0.22 µs/member:
-# the lines meet near 1.96M members, rounded here to 2M. Only the
-# execution venue changes, never the sets.
+# local ≈ 0.02 s + 0.69 µs/member and Spark ≈ 0.86 s + 0.27 µs/member:
+# the lines meet near 1.96M members, rounded here to 2M. The calls that
+# set the slopes are mRR calls, drawn one block per batch; batched RR
+# calls cost the driver 0.8–1.8 µs/member but stay below 0.2M members.
+# Only the execution venue changes, never the sets.
 SPARK_MIN_MEMBERS = 2_000_000
 
 Pool = tuple[np.ndarray, np.ndarray]
@@ -85,20 +106,56 @@ def sample_root_size(
     return np.clip(k_low + (rng.random(size) < ratio - k_low), 1, n_i)
 
 
+def blocks_per_batch(n: int, roots: str) -> int:
+    """Blocks per kernel batch: one for mRR; for RR up to ``RR_BATCH``
+    with a bitmap of at most ``BATCH_BITMAP`` bytes, and at least one."""
+    if roots == "mrr":
+        return 1
+    return max(1, min(RR_BATCH, BATCH_BITMAP // (BLOCK * n)))
+
+
+def _runs(js, per: int) -> list:
+    """The block ids ``js`` cut into consecutive runs of ``per`` or fewer."""
+    return [js[c : c + per] for c in range(0, len(js), per)]
+
+
+def _uniforms(
+    rngs: list, pairs: np.ndarray, n: int, draw_of: np.ndarray | None = None
+) -> np.ndarray:
+    """Uniforms for the block-major keys ``pairs``: one per pair, or one
+    per entry of ``draw_of`` (the sorted position in ``pairs`` that each
+    draw belongs to). Block b's come from ``rngs[b]`` in order; a block
+    with none makes no call."""
+    size = len(pairs) if draw_of is None else len(draw_of)
+    if len(rngs) == 1:
+        return rngs[0].random(size)
+    cuts = np.searchsorted(pairs, np.arange(1, len(rngs)) * (BLOCK * n))
+    if draw_of is not None:
+        cuts = np.searchsorted(draw_of, cuts)
+    bounds = [0, *cuts.tolist(), size]
+    parts = [rng.random(hi - lo) for rng, lo, hi in zip(rngs, bounds, bounds[1:]) if hi > lo]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
 def _draw_roots(
     active_idx: np.ndarray,
     k: np.ndarray,
     n: int,
     visited: np.ndarray,
-    rng: np.random.Generator,
+    rngs: list,
 ) -> np.ndarray:
     """Keys ``s·n + v`` of every set's roots, marked in ``visited``: set
-    s gets a uniform ``k[s]``-subset of ``active_idx``.
+    s gets a uniform ``k[s]``-subset of ``active_idx``, drawn from its
+    block's stream ``rngs[s // BLOCK]``.
 
     Each round draws, for every set not yet full, as many uniform nodes
     as it lacks and keeps the distinct new ones (the first k distinct
     values of an i.i.d. sequence are a uniform k-subset). A set with
     k > n_i/2 draws the n_i − k nodes it leaves out that way instead.
+    The keys come in round order, or sorted if a set has k > n_i/2. A
+    batch of several blocks holds RR sets (k = 1), whose roots take one
+    round, so either way its keys are block-major, each block's as the
+    block alone gives them.
     """
     n_i = len(active_idx)
     left_out = k > n_i / 2
@@ -106,7 +163,12 @@ def _draw_roots(
     drawn = [EMPTY_POOL[1]]
     while need.any():
         owner = np.repeat(np.arange(len(k)), need)
-        keys = np.unique(owner * n + active_idx[rng.integers(n_i, size=len(owner))])
+        if len(rngs) == 1:
+            picks = rngs[0].integers(n_i, size=len(owner))
+        else:
+            counts = need.reshape(len(rngs), BLOCK).sum(1).tolist()
+            picks = np.concatenate([r.integers(n_i, size=c) for r, c in zip(rngs, counts) if c])
+        keys = np.unique(owner * n + active_idx[picks])
         keys = keys[~visited[keys]]
         visited[keys] = True
         need -= np.bincount(keys // n, minlength=len(k))
@@ -128,25 +190,25 @@ def _expand(
     visited: np.ndarray,
     pairs: np.ndarray,
     model: str,
-    rng: np.random.Generator,
+    rngs: list,
 ) -> np.ndarray:
-    """One reverse-BFS step from the frontier keys ``pairs``: the sorted
-    keys of the active, unvisited in-neighbours they reach, marked in
-    ``visited``.
+    """One reverse-BFS step from the block-major frontier keys ``pairs``:
+    the sorted keys of the active, unvisited in-neighbours they reach,
+    marked in ``visited``.
 
     IC flips one coin per in-edge slot. LT draws one uniform per pair
     and keeps the in-edge ``lt_pick`` chooses, the rule of
-    ``sample_realization``.
+    ``sample_realization``. Each block's draws come from its own stream.
     """
     n = payload["n"]
     v = pairs % n
     if model == IC:
         pair_of, slots = row_slots(payload["rev_indptr"], v)
-        hit = rng.random(len(slots)) < payload["rev_probs"][slots]
+        hit = _uniforms(rngs, pairs, n, pair_of) < payload["rev_probs"][slots]
         owner, src = pair_of[hit], slots[hit]
     else:
         owner, src = lt_pick(
-            payload["rev_indptr"], payload["rev_cum"], v, rng.random(len(pairs))
+            payload["rev_indptr"], payload["rev_cum"], v, _uniforms(rngs, pairs, n)
         )
     u = payload["rev_indices"][src]
     keys = pairs[owner] - v[owner] + u
@@ -155,7 +217,7 @@ def _expand(
     return keys
 
 
-def _sample_block(
+def _sample_blocks(
     payload: dict,
     active: np.ndarray,
     eta_i: int,
@@ -163,35 +225,43 @@ def _sample_block(
     roots: str,
     n_sets: int,
     seed: Seed,
-    j: int,
+    js,
 ) -> Pool:
-    """Block ``j`` of ``n_sets`` sets: ids ``j·BLOCK …`` (below ``n_sets``),
-    drawn from the stream ``(seed, j)`` only, as CSR ``(sizes, members)``.
+    """Blocks ``js`` (ascending ids) of ``n_sets`` sets as one CSR
+    ``(sizes, members)``: the ids ``j·BLOCK …`` below ``n_sets`` of
+    each block j in turn, block j drawn from the stream ``(seed, j)``
+    only.
 
-    All ``BLOCK`` sets are drawn and the block is then cut to the ids
-    below ``n_sets``, so the stream never depends on the pool size. The
-    sets' BFSs advance together as keys ``s·n + v`` against one bitmap
-    of ``BLOCK·n`` flags, touched only at keys; each step's frontier is
-    expanded ``CHUNK`` keys at a time and sorted, so the draws, and the
-    sets, do not depend on ``CHUNK``.
+    Every block draws all ``BLOCK`` sets, and the last is then cut to
+    the ids below ``n_sets``, so the stream never depends on the pool
+    size. The batch's sets advance together in one reverse BFS, as keys
+    ``(b·BLOCK + s)·n + v`` against one bitmap of ``len(js)·BLOCK·n``
+    flags, touched only at keys. Each block consumes its own stream's
+    draws exactly as it would alone, so a batch equals its blocks drawn
+    one at a time. A batch of several blocks must hold RR sets, as
+    ``blocks_per_batch`` gives: mRR roots may take several rounds, whose
+    keys would not come block-major. Each step's frontier is expanded
+    ``CHUNK`` keys at a time and sorted, so the draws, and the sets, do
+    not depend on ``CHUNK``.
     """
-    rng = np.random.default_rng(substream(seed, j))
+    assert roots == "rr" or len(js) == 1, "only RR blocks are batched"
+    rngs = [np.random.default_rng(substream(seed, j)) for j in js]
     n = payload["n"]
     active_idx = np.nonzero(active)[0]
     if roots == "mrr":
-        k = sample_root_size(len(active_idx), eta_i, rng, BLOCK)
+        k = sample_root_size(len(active_idx), eta_i, rngs[0], BLOCK)
     else:
-        k = np.ones(BLOCK, dtype=np.int64)
-    visited = np.zeros(BLOCK * n, dtype=bool)
-    frontier = _draw_roots(active_idx, k, n, visited, rng)
+        k = np.ones(len(js) * BLOCK, dtype=np.int64)
+    visited = np.zeros(len(js) * BLOCK * n, dtype=bool)
+    frontier = _draw_roots(active_idx, k, n, visited, rngs)
     found = [frontier]
     while len(frontier):
         frontier = np.sort(np.concatenate([
-            _expand(payload, active, visited, frontier[c : c + CHUNK], model, rng)
+            _expand(payload, active, visited, frontier[c : c + CHUNK], model, rngs)
             for c in range(0, len(frontier), CHUNK)
         ]))
         found.append(frontier)
-    n_take = min(BLOCK, n_sets - j * BLOCK)
+    n_take = (len(js) - 1) * BLOCK + min(BLOCK, n_sets - js[-1] * BLOCK)
     keys = np.sort(np.concatenate(found))
     keys = keys[: np.searchsorted(keys, n_take * n)]
     set_of = keys // n
@@ -222,23 +292,25 @@ def sample_pool(
 ) -> Pool:
     """``n_sets`` fresh sets as a CSR pool ``(indptr, members)``.
 
-    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. The
-    driver always draws block 0 first; the call's members are estimated
-    as block 0's members times the block count. Without Spark
-    (``spark=None``), or below ``SPARK_MIN_MEMBERS``, the driver samples
-    the other blocks too and concatenates them. Otherwise Spark
-    executors sample every block, block 0 again, and the membership rows
-    are collected and stably sorted by set id. The pool depends only on
-    the arguments, not on the venue. Bad input raises ``ValueError``
-    before any set is drawn.
+    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. Blocks
+    are drawn in batches of ``blocks_per_batch`` consecutive blocks, one
+    kernel call each. The driver always draws the first batch, which
+    holds block 0; the call's members are estimated as block 0's members
+    times the block count. Without Spark (``spark=None``), or below
+    ``SPARK_MIN_MEMBERS``, the driver draws the other batches too and
+    concatenates them. Otherwise Spark executors sample every block, the
+    first batch's again, and the membership rows are collected and
+    stably sorted by set id. The pool depends only on the arguments, not
+    on the venue or the batching. Bad input raises ``ValueError`` before
+    any set is drawn.
     """
     _check_inputs(g, active, model, roots)
-    payload = g.payload()
-    draw = partial(_sample_block, payload, active, eta_i, model, roots, n_sets, seed)
+    draw = partial(_sample_blocks, g.payload(), active, eta_i, model, roots, n_sets, seed)
     n_blocks = -(-n_sets // BLOCK)
-    blocks = [draw(0)]
-    if spark is None or len(blocks[0][1]) * n_blocks < SPARK_MIN_MEMBERS:
-        blocks += map(draw, range(1, n_blocks))
+    batches = _runs(range(n_blocks), blocks_per_batch(g.n, roots))
+    blocks = [draw(batches[0])]
+    if spark is None or int(blocks[0][0][:BLOCK].sum()) * n_blocks < SPARK_MIN_MEMBERS:
+        blocks += map(draw, batches[1:])
         sizes = np.concatenate([s for s, _ in blocks])
         members = np.concatenate([m for _, m in blocks])
     else:
@@ -277,9 +349,10 @@ def sample_sets_pairs(
     """The Spark venue: DataFrame of (set_id, node) membership rows.
 
     One task row per block, in contiguous ranges over
-    ``min(n_blocks, 2·defaultParallelism)`` partitions; each task
-    traverses the broadcast CSR payload and explodes its block CSRs into
-    rows. Set ids are ``0 .. n_sets − 1`` and every set equals the local
+    ``min(n_blocks, 2·defaultParallelism)`` partitions; each task cuts
+    its blocks into batches by ``blocks_per_batch``, as ``sample_pool``
+    does, runs the kernel over the broadcast CSR payload and explodes the
+    CSRs into rows. Set ids are ``0 .. n_sets − 1`` and every set equals the local
     venue's at the same seed, whatever the partitioning. Inputs are
     checked on the driver, as in ``sample_pool``.
     """
@@ -290,16 +363,18 @@ def sample_sets_pairs(
     n = g.n
     parts = min(n_blocks, 2 * spark.sparkContext.defaultParallelism)
     tasks_df = spark.range(0, n_blocks, 1, parts).toDF("block")
+    per = blocks_per_batch(n, roots)
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         payload = bc.value
         act = np.unpackbits(active_bytes, count=n).astype(bool)
         for pdf in batches:
             js = pdf["block"].tolist()
-            sizes, members = zip(
-                *(_sample_block(payload, act, eta_i, model, roots, n_sets, seed, j) for j in js)
-            )
-            ids = np.concatenate([j * BLOCK + np.arange(len(s)) for j, s in zip(js, sizes)])
+            sizes, members = zip(*(
+                _sample_blocks(payload, act, eta_i, model, roots, n_sets, seed, run)
+                for run in _runs(js, per)
+            ))
+            ids = np.concatenate([j * BLOCK + np.arange(min(BLOCK, n_sets - j * BLOCK)) for j in js])
             yield pd.DataFrame(
                 {"set_id": np.repeat(ids, np.concatenate(sizes)), "node": np.concatenate(members)}
             )

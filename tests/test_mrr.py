@@ -7,6 +7,9 @@ a set never holds a node twice.
 The block kernel is checked against ``_reference_pool``, a per-set
 Python BFS (the kernel it replaced): the two draw from different
 streams, so they are compared in distribution."""
+import hashlib
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -145,6 +148,65 @@ def test_pool_does_not_depend_on_chunk(small_cl_graph, monkeypatch, model, roots
     small = sample_pool(None, g, active, eta_i, model, BLOCK + 40, 13, roots=roots)
     for a, b in zip(default, small):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("chunk", [pytest.param(None, id="CHUNK"), pytest.param(5, id="CHUNK=5")])
+@pytest.mark.parametrize("n_active", [pytest.param(None, id="90%"), pytest.param(1, id="one")])
+@pytest.mark.parametrize("model", [IC, LT])
+def test_batch_equals_its_blocks_alone(small_cl_graph, monkeypatch, model, n_active, chunk):
+    """One kernel call over a run of RR blocks gives the bytes of its
+    blocks drawn one call each, with a partial last block and 10% of the
+    nodes inactive; at ``CHUNK = 5`` a step's chunks straddle blocks.
+    With one active node every set has k = 1 > n_i/2 and takes the
+    left-out branch of ``_draw_roots``."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[::10] = False
+    if n_active is not None:
+        active[:] = False
+        active[np.argmax(g.indeg)] = True
+    if chunk is not None:
+        monkeypatch.setattr(mrr, "CHUNK", chunk)
+    draw = partial(mrr._sample_blocks, g.payload(), active, 1, model, "rr", 3 * BLOCK + 40, 13)
+    for js in (range(4), range(1, 3)):
+        sizes, members = draw(js)
+        alone = [draw([j]) for j in js]
+        np.testing.assert_array_equal(sizes, np.concatenate([s for s, _ in alone]))
+        np.testing.assert_array_equal(members, np.concatenate([m for _, m in alone]))
+
+
+@pytest.mark.parametrize(
+    "model,digest",
+    [
+        (IC, "4f3abc91bb49b3d789d7cc2cf7d0739aba612a149a094bf2266ca0355dc49dd2"),
+        (LT, "366eac8f79ce2fd0a991fd8ef28ee3ec3aada244a44df763a22e25e7544b3632"),
+    ],
+)
+def test_left_out_roots_stream_pinned(small_cl_graph, model, digest):
+    """A block whose sets mix k ≤ n_i/2 and k > n_i/2 enters its first BFS
+    step with its roots sorted, so its draws, and this sha256 of 300 sets
+    (k in {67, 68} of n_i = 135), stay those of the kernel that drew one
+    block per call. ``tests/test_streams_pinned.py`` has no such case."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[::10] = False
+    h = hashlib.sha256()
+    for a in sample_pool(None, g, active, 2, model, 300, 13, roots="mrr"):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n,roots,per",
+    [
+        (4000, "rr", 8),  # bitmap 7.8 MiB
+        (8200, "rr", 3),  # the 8 MiB bitmap caps the batch
+        (1200, "mrr", 1),  # mRR blocks run alone
+        (10**6, "rr", 1),  # one block's bitmap exceeds the cap
+    ],
+)
+def test_blocks_per_batch(n, roots, per):
+    assert mrr.blocks_per_batch(n, roots) == per
 
 
 class _LowUniforms:
