@@ -9,8 +9,12 @@ commit that has ``repro.sampling.mrr.sample_pool``. Each of the 12 cells
 (nethept_lite and livejournal_lite; IC and LT; mRR at η = 0.2n and
 η = 0.02n, and RR) draws 8192 sets with every tenth node inactive, at a
 fixed seed, ``RUNS`` times after one untimed warm-up call. The median
-wall time gives sets/s. The entry, with the commit, host and library
-versions, is appended to the ``entries`` list of ``--out``.
+wall time gives sets/s; each cell also records the interquartile range
+of its runs, so two entries can be told apart from the spread of one.
+On a 4-core host the median of 3 runs moved up to 1.26× between
+back-to-back entries of unchanged code, hence 9 runs. The entry, with
+the commit, host and library versions, is appended to the ``entries``
+list of ``--out``.
 
 The file name lacks the ``bench_`` prefix on purpose: pytest collects
 ``bench_*.py`` under ``benchmarks/`` as the results regeneration.
@@ -39,7 +43,7 @@ MODELS = ("IC", "LT")
 MODES = (("mrr", 0.2), ("mrr", 0.02), ("rr", None))
 N_SETS = 8192
 SEED = 7
-RUNS = 3
+RUNS = 9
 
 
 def commit() -> dict:
@@ -82,6 +86,7 @@ def measure() -> list[dict]:
                     indptr, _ = sample_pool(None, g, active, eta_i, model, N_SETS, SEED, roots=roots)
                     times.append(time.perf_counter() - t0)
                 med = statistics.median(times)
+                q1, _, q3 = statistics.quantiles(times, n=4)
                 cells.append({
                     "dataset": name,
                     "model": model,
@@ -90,11 +95,13 @@ def measure() -> list[dict]:
                     "n_sets": N_SETS,
                     "runs_s": [round(t, 4) for t in times],
                     "median_s": round(med, 4),
+                    "iqr_s": [round(q1, 4), round(q3, 4)],
                     "sets_per_s": round(N_SETS / med, 1),
                     "mean_size": round(float(indptr[-1]) / N_SETS, 3),
                 })
                 print(f"{name:17s} {model} {roots:3s} eta_i={eta_i:4d} "
-                      f"{med:8.4f} s  {N_SETS / med:10.1f} sets/s", file=sys.stderr)
+                      f"{med:8.4f} s [{q1:.4f}–{q3:.4f}]  {N_SETS / med:10.1f} sets/s",
+                      file=sys.stderr)
     return cells
 
 

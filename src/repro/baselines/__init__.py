@@ -9,6 +9,6 @@
 
 Both sample through ``repro.sampling.mrr.sample_pool`` and select through
 ``repro.core.trim``: ADAPTIM calls ``trim(roots="rr")`` (δ = 1/max(2,
-n_i)); ATEUC draws an RR pool with ``sample_pool`` and runs
-``greedy_max_coverage`` to exhaustion.
+n_i)); ATEUC grows an RR pool with ``doubling_pools``, the doubling rule
+TRIM uses, and runs ``greedy_max_coverage`` to exhaustion.
 """

@@ -24,7 +24,7 @@ from pyspark.sql import SparkSession
 from repro.core.trim import greedy_max_coverage
 from repro.graphs.csr import GraphCSR
 from repro.sampling.bounds import coverage_upper_bound
-from repro.sampling.mrr import EMPTY_POOL, Seed, extend_pool, sample_pool, substream
+from repro.sampling.mrr import Seed, doubling_pools
 
 # See the comment at the S_u rule below.
 SAFETY_MARGIN = 1.15
@@ -64,15 +64,8 @@ def ateuc(
     active = np.ones(n, dtype=bool)
     # Failure budget ~1/(2n) per bound application, as in RIS practice.
     a = math.log(2.0 * n)
-    pool = EMPTY_POOL
-    n_sets = 0
-    for t in range(1, MAX_DOUBLINGS + 1):
-        need = THETA0 * 2 ** (t - 1) - n_sets
-        more = sample_pool(
-            spark, g, active, 1, model, need, substream(seed, t), roots="rr"
-        )
-        pool = extend_pool(pool, more)
-        n_sets += need
+    pools = doubling_pools(spark, g, active, 1, model, THETA0, seed, roots="rr")
+    for t, (n_sets, pool) in zip(range(1, MAX_DOUBLINGS + 1), pools):
         picks, curve = greedy_max_coverage(*pool, n, n)
         su = sl = None
         for j, cov in enumerate(curve, start=1):

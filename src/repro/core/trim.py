@@ -9,8 +9,9 @@ ln C(n,1) = ln n) and greedy to argmax, which is TRIM (Algorithm 2).
 
 Every selector samples through ``repro.sampling.mrr.sample_pool`` (the
 one sampler entry point and venue switch, returning the sets as a CSR
-pool ``(indptr, members)``) and selects through ``greedy_max_coverage``
-here, the one greedy over such a pool.
+pool ``(indptr, members)``), grows its pool by ``doubling_pools`` there
+when it doubles, and selects through ``greedy_max_coverage`` here, the
+one greedy over such a pool.
 
 ADAPTIM's per-round selection is ``trim(roots="rr")``: single-root RR
 sets and δ = 1/max(2, n_i); ATEUC runs the greedy to exhaustion over an
@@ -24,7 +25,7 @@ from pyspark.sql import SparkSession
 
 from repro.graphs.csr import GraphCSR, row_slots
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
-from repro.sampling.mrr import EMPTY_POOL, Seed, extend_pool, sample_pool, substream
+from repro.sampling.mrr import Seed, doubling_pools
 
 
 def ln_choose(n: int, b: int) -> float:
@@ -153,7 +154,8 @@ def trim(
     ``roots="rr"`` turns this into ADAPTIM's per-round untruncated
     selection: single-root RR sets and δ = 1/max(2, n_i) (coverage logic
     is identical; only the sampler, δ and the estimator scale differ).
-    Iteration ``t`` samples its new sets from ``substream(seed, t)``.
+    The round reads one stream, ``seed``: iteration ``t`` holds its
+    first θ_t = θ_o·2^(t−1) sets (``doubling_pools``).
     """
     n_i = int(active.sum())
     if n_i == 0:
@@ -162,15 +164,8 @@ def trim(
     b = min(b, n_i)
     sched = TrimSchedule.build(n_i, eta_i, eps, b=b, roots=roots)
     rb = rho(b)
-    pool = EMPTY_POOL
-    n_sets = 0
-    for t in range(1, sched.T + 1):
-        need = sched.theta_o * (2 ** (t - 1)) - n_sets
-        more = sample_pool(
-            spark, g, active, eta_i, model, need, substream(seed, t), roots=roots
-        )
-        pool = extend_pool(pool, more)
-        n_sets += need
+    pools = doubling_pools(spark, g, active, eta_i, model, sched.theta_o, seed, roots=roots)
+    for t, (n_sets, pool) in enumerate(pools, start=1):
         nodes, curve = greedy_max_coverage(*pool, g.n, b)
         lam = curve[-1] if curve else 0
         lam_l = coverage_lower_bound(lam, sched.a1)
@@ -191,4 +186,3 @@ def trim(
                 iterations=t,
                 est_truncated_spread=eta_i * lam / n_sets,
             )
-    raise AssertionError("unreachable: loop returns at t == T")

@@ -15,9 +15,11 @@ Single-root RR sets (Borgs et al.) for the baselines are the
 unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 
 ``sample_pool``, the one sampler entry point, checks its inputs on the
-driver, chooses the venue from the members of block 0, drawn first on
-the driver in the call's first batch, and returns one CSR pool
-``(indptr, members)``.
+driver, chooses the venue from the members of the call's first block,
+drawn first on the driver in the call's first batch, and returns one
+CSR pool ``(indptr, members)``. A call may start at a later block of its
+stream: ``doubling_pools``, the doubling rule of TRIM and ATEUC, reads
+one stream per round and draws each block of it once.
 Sets are drawn in blocks of ``BLOCK`` ids, each a CSR ``(sizes,
 members)`` seeded by the stream ``substream(seed, j)`` alone. One
 vectorized kernel, ``_sample_blocks``, draws a batch of consecutive
@@ -30,8 +32,9 @@ sets, whose many roots already fill a step. Set ``i`` is the same whether
 the driver or a Spark task (``sample_sets_pairs``, one ``mapInPandas``
 row per block over a broadcast reverse CSR, batched by the same rule)
 draws it, and whatever the batching. ``substream`` is the one
-seed-derivation rule: every caller appends its own key (run, round,
-iteration, block) to the path.
+seed-derivation rule: every caller appends its own key to the path, so
+an ASTI set comes from (run, round, block) and an ATEUC set from (run,
+block); a round's doubling iterations read prefixes of one stream.
 """
 from functools import partial
 from typing import Iterator
@@ -201,10 +204,11 @@ def _expand(
     ``sample_realization``. Each block's draws come from its own stream.
     """
     n = payload["n"]
-    v = pairs % n
+    v = pairs - pairs // n * n  # pairs % n, at a third of its cost
     if model == IC:
         pair_of, slots = row_slots(payload["rev_indptr"], v)
-        hit = _uniforms(rngs, pairs, n, pair_of) < payload["rev_probs"][slots]
+        # Few coins hit; gathering their positions beats a boolean mask.
+        hit = np.flatnonzero(_uniforms(rngs, pairs, n, pair_of) < payload["rev_probs"][slots])
         owner, src = pair_of[hit], slots[hit]
     else:
         owner, src = lt_pick(
@@ -226,6 +230,7 @@ def _sample_blocks(
     n_sets: int,
     seed: Seed,
     js,
+    visited: np.ndarray | None = None,
 ) -> Pool:
     """Blocks ``js`` (ascending ids) of ``n_sets`` sets as one CSR
     ``(sizes, members)``: the ids ``j·BLOCK …`` below ``n_sets`` of
@@ -235,14 +240,16 @@ def _sample_blocks(
     Every block draws all ``BLOCK`` sets, and the last is then cut to
     the ids below ``n_sets``, so the stream never depends on the pool
     size. The batch's sets advance together in one reverse BFS, as keys
-    ``(b·BLOCK + s)·n + v`` against one bitmap of ``len(js)·BLOCK·n``
-    flags, touched only at keys. Each block consumes its own stream's
+    ``(b·BLOCK + s)·n + v`` against one all-false bitmap ``visited`` of
+    at least ``len(js)·BLOCK·n`` flags (a new one if None), touched only
+    at keys and cleared at them again before the return, so a caller
+    can pass it to its next batch. Each block consumes its own stream's
     draws exactly as it would alone, so a batch equals its blocks drawn
     one at a time. A batch of several blocks must hold RR sets, as
     ``blocks_per_batch`` gives: mRR roots may take several rounds, whose
     keys would not come block-major. Each step's frontier is expanded
-    ``CHUNK`` keys at a time and sorted, so the draws, and the sets, do
-    not depend on ``CHUNK``.
+    ``CHUNK`` keys at a time and, if that took several chunks, sorted, so
+    the draws, and the sets, do not depend on ``CHUNK``.
     """
     assert roots == "rr" or len(js) == 1, "only RR blocks are batched"
     rngs = [np.random.default_rng(substream(seed, j)) for j in js]
@@ -252,17 +259,21 @@ def _sample_blocks(
         k = sample_root_size(len(active_idx), eta_i, rngs[0], BLOCK)
     else:
         k = np.ones(len(js) * BLOCK, dtype=np.int64)
-    visited = np.zeros(len(js) * BLOCK * n, dtype=bool)
+    if visited is None:
+        visited = np.zeros(len(js) * BLOCK * n, dtype=bool)
     frontier = _draw_roots(active_idx, k, n, visited, rngs)
     found = [frontier]
     while len(frontier):
-        frontier = np.sort(np.concatenate([
+        # One chunk's keys come back sorted and distinct already.
+        parts = [
             _expand(payload, active, visited, frontier[c : c + CHUNK], model, rngs)
             for c in range(0, len(frontier), CHUNK)
-        ]))
+        ]
+        frontier = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
         found.append(frontier)
     n_take = (len(js) - 1) * BLOCK + min(BLOCK, n_sets - js[-1] * BLOCK)
     keys = np.sort(np.concatenate(found))
+    visited[keys] = False
     keys = keys[: np.searchsorted(keys, n_take * n)]
     set_of = keys // n
     return np.bincount(set_of, minlength=n_take), keys - set_of * n
@@ -289,50 +300,86 @@ def sample_pool(
     seed: Seed,
     *,
     roots: str,
+    first_block: int = 0,
 ) -> Pool:
-    """``n_sets`` fresh sets as a CSR pool ``(indptr, members)``.
+    """Sets ``first_block·BLOCK … n_sets − 1`` of the stream ``seed`` as
+    a CSR pool ``(indptr, members)``: ``n_sets`` fresh sets by default.
 
-    Set j's members are ``members[indptr[j]:indptr[j + 1]]``. Blocks
-    are drawn in batches of ``blocks_per_batch`` consecutive blocks, one
-    kernel call each. The driver always draws the first batch, which
-    holds block 0; the call's members are estimated as block 0's members
-    times the block count. Without Spark (``spark=None``), or below
-    ``SPARK_MIN_MEMBERS``, the driver draws the other batches too and
-    concatenates them. Otherwise Spark executors sample every block, the
-    first batch's again, and the membership rows are collected and
-    stably sorted by set id. The pool depends only on the arguments, not
-    on the venue or the batching. Bad input raises ``ValueError`` before
-    any set is drawn.
+    The pool's set j (set ``first_block·BLOCK + j`` of the stream) has
+    members ``members[indptr[j]:indptr[j + 1]]``. Blocks are drawn in
+    batches of ``blocks_per_batch`` consecutive blocks, one kernel call
+    each, reusing one bitmap. The driver always draws the first batch,
+    which holds block ``first_block``; the call's members are estimated
+    as that block's members times the count of blocks drawn. Without
+    Spark (``spark=None``), or below ``SPARK_MIN_MEMBERS``, the driver
+    draws the other batches too and concatenates them. Otherwise Spark
+    executors sample every block, the first batch's again, and the
+    membership rows are collected and stably sorted by set id. The pool
+    depends only on the arguments, not on the venue or the batching.
+    Bad input raises ``ValueError`` before any set is drawn.
     """
     _check_inputs(g, active, model, roots)
-    draw = partial(_sample_blocks, g.payload(), active, eta_i, model, roots, n_sets, seed)
     n_blocks = -(-n_sets // BLOCK)
-    batches = _runs(range(n_blocks), blocks_per_batch(g.n, roots))
+    batches = _runs(range(first_block, n_blocks), blocks_per_batch(g.n, roots))
+    visited = np.zeros(len(batches[0]) * BLOCK * g.n, dtype=bool)
+    draw = partial(
+        _sample_blocks, g.payload(), active, eta_i, model, roots, n_sets, seed, visited=visited
+    )
     blocks = [draw(batches[0])]
-    if spark is None or int(blocks[0][0][:BLOCK].sum()) * n_blocks < SPARK_MIN_MEMBERS:
+    n_pool = n_sets - first_block * BLOCK
+    estimate = int(blocks[0][0][:BLOCK].sum()) * (n_blocks - first_block)
+    if spark is None or estimate < SPARK_MIN_MEMBERS:
         blocks += map(draw, batches[1:])
         sizes = np.concatenate([s for s, _ in blocks])
         members = np.concatenate([m for _, m in blocks])
     else:
         pairs = sample_sets_pairs(
-            spark, g, active, eta_i, model, n_sets, seed, roots=roots
+            spark, g, active, eta_i, model, n_sets, seed, roots=roots, first_block=first_block
         ).toPandas()
-        set_ids = pairs["set_id"].to_numpy(np.int64)
+        set_ids = pairs["set_id"].to_numpy(np.int64) - first_block * BLOCK
         order = np.argsort(set_ids, kind="stable")
         members = pairs["node"].to_numpy(np.int64)[order]
-        sizes = np.bincount(set_ids, minlength=n_sets)
-    indptr = np.zeros(n_sets + 1, dtype=np.int64)
+        sizes = np.bincount(set_ids, minlength=n_pool)
+    indptr = np.zeros(n_pool + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return indptr, members
 
 
-def extend_pool(pool: Pool, more: Pool) -> Pool:
-    """The CSR pool holding ``pool``'s sets followed by ``more``'s."""
-    indptr, members = pool
-    return (
-        np.concatenate([indptr, more[0][1:] + indptr[-1]]),
-        np.concatenate([members, more[1]]),
-    )
+def doubling_pools(
+    spark: SparkSession | None,
+    g: GraphCSR,
+    active: np.ndarray,
+    eta_i: int,
+    model: str,
+    theta_o: int,
+    seed: Seed,
+    *,
+    roots: str,
+) -> Iterator[tuple[int, Pool]]:
+    """``(θ_t, pool)`` for θ_t = θ_o·2^(t−1), t = 1, 2, …: the pool
+    holds the first θ_t sets of the one stream ``seed``, so it equals
+    ``sample_pool(…, θ_t, seed)``.
+
+    Step t draws only the whole blocks below ⌈θ_t/BLOCK⌉ that it does
+    not hold yet, and keeps the tail of a block that θ_t cuts for step
+    t + 1, so a caller that stops at step t has drawn ⌈θ_t/BLOCK⌉
+    blocks in all. This is the doubling rule of TRIM (Algorithms 2/3)
+    and of ATEUC; the caller decides when to stop.
+    """
+    indptr, members = EMPTY_POOL
+    theta = theta_o
+    while True:
+        held = (len(indptr) - 1) // BLOCK
+        n_blocks = -(-theta // BLOCK)
+        if n_blocks > held:
+            more_indptr, more = sample_pool(
+                spark, g, active, eta_i, model, n_blocks * BLOCK, seed,
+                roots=roots, first_block=held,
+            )
+            indptr = np.concatenate([indptr, more_indptr[1:] + indptr[-1]])
+            members = np.concatenate([members, more])
+        yield theta, (indptr[: theta + 1], members[: indptr[theta]])
+        theta *= 2
 
 
 def sample_sets_pairs(
@@ -345,14 +392,16 @@ def sample_sets_pairs(
     seed: Seed,
     *,
     roots: str = "mrr",
+    first_block: int = 0,
 ) -> DataFrame:
     """The Spark venue: DataFrame of (set_id, node) membership rows.
 
-    One task row per block, in contiguous ranges over
-    ``min(n_blocks, 2·defaultParallelism)`` partitions; each task cuts
-    its blocks into batches by ``blocks_per_batch``, as ``sample_pool``
-    does, runs the kernel over the broadcast CSR payload and explodes the
-    CSRs into rows. Set ids are ``0 .. n_sets − 1`` and every set equals the local
+    One task row per block ``first_block … ⌈n_sets/BLOCK⌉ − 1``, in
+    contiguous ranges over at most ``2·defaultParallelism`` partitions;
+    each task cuts its blocks into batches by ``blocks_per_batch``, as
+    ``sample_pool`` does, runs the kernel over the broadcast CSR payload,
+    reusing one bitmap, and explodes the CSRs into rows. Set ids are
+    ``first_block·BLOCK … n_sets − 1`` and every set equals the local
     venue's at the same seed, whatever the partitioning. Inputs are
     checked on the driver, as in ``sample_pool``.
     """
@@ -361,17 +410,18 @@ def sample_sets_pairs(
     bc = g.broadcast(spark)
     active_bytes = np.packbits(active)
     n = g.n
-    parts = min(n_blocks, 2 * spark.sparkContext.defaultParallelism)
-    tasks_df = spark.range(0, n_blocks, 1, parts).toDF("block")
+    parts = min(n_blocks - first_block, 2 * spark.sparkContext.defaultParallelism)
+    tasks_df = spark.range(first_block, n_blocks, 1, parts).toDF("block")
     per = blocks_per_batch(n, roots)
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         payload = bc.value
         act = np.unpackbits(active_bytes, count=n).astype(bool)
+        visited = np.zeros(per * BLOCK * n, dtype=bool)
         for pdf in batches:
             js = pdf["block"].tolist()
             sizes, members = zip(*(
-                _sample_blocks(payload, act, eta_i, model, roots, n_sets, seed, run)
+                _sample_blocks(payload, act, eta_i, model, roots, n_sets, seed, run, visited)
                 for run in _runs(js, per)
             ))
             ids = np.concatenate([j * BLOCK + np.arange(min(BLOCK, n_sets - j * BLOCK)) for j in js])

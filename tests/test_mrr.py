@@ -315,17 +315,22 @@ def test_old_additive_collision_now_distinct():
 
 
 def test_streams_distinct_over_key_grid():
-    """(run, round, iteration, block) paths, built the way the harness,
-    ASTI, TRIM and the sampler nest them, never share a state."""
+    """(run, round, block) paths, built the way the harness, ASTI and the
+    sampler nest them (a TRIM round reads one stream across its
+    doublings), and ATEUC's (run, block) paths never share a state."""
     states = set()
     for r in range(10):
+        run = substream(3, r)
+        for j in range(16):
+            ss = substream(run, j)
+            assert ss.spawn_key == (r, j)
+            states.add(ss.generate_state(4).tobytes())
         for i in range(1, 6):
-            for t in range(1, 5):
-                for j in range(4):
-                    ss = substream(substream(substream(substream(3, r), i), t), j)
-                    assert ss.spawn_key == (r, i, t, j)
-                    states.add(ss.generate_state(4).tobytes())
-    assert len(states) == 10 * 5 * 4 * 4
+            for j in range(16):
+                ss = substream(substream(run, i), j)
+                assert ss.spawn_key == (r, i, j)
+                states.add(ss.generate_state(4).tobytes())
+    assert len(states) == 10 * 16 + 10 * 5 * 16
 
 
 def test_key_length_matters():

@@ -11,10 +11,11 @@ import pytest
 
 import repro.sampling.mrr as mrr
 from repro.baselines.adaptim import adaptim
+from repro.baselines.ateuc import ateuc
 from repro.core.asti import asti
 from repro.core.trim import trim
 from repro.diffusion.realization import IC, LT
-from repro.sampling.mrr import sample_pool
+from repro.sampling.mrr import BLOCK, sample_pool
 
 
 @pytest.fixture()
@@ -57,6 +58,25 @@ def test_spark_and_local_pools_identical(spark, small_cl_graph, force_spark, mod
     np.testing.assert_array_equal(members_s, members_l)
 
 
+@pytest.mark.parametrize("n_sets,first_block", [(700, 1), (4 * BLOCK, 2), (3 * BLOCK + 1, 3)])
+@pytest.mark.parametrize("roots", ["mrr", "rr"])
+@pytest.mark.parametrize("model", [IC, LT])
+def test_pools_from_a_later_block_identical(spark, small_cl_graph, force_spark, model, roots, n_sets, first_block):
+    """A call that starts at block ``first_block`` gives, on either venue,
+    sets ``first_block·BLOCK …`` of the whole call's pool."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[::7] = False
+    eta_i = 15 if roots == "mrr" else 1
+    indptr, members = sample_pool(None, g, active, eta_i, model, n_sets, 21, roots=roots)
+    start = first_block * BLOCK
+    want = (indptr[start:] - indptr[start], members[indptr[start] :])
+    for venue in (None, spark):
+        got = sample_pool(venue, g, active, eta_i, model, n_sets, 21, roots=roots, first_block=first_block)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -64,6 +84,7 @@ def test_spark_and_local_pools_identical(spark, small_cl_graph, force_spark, mod
         pytest.param(lambda sp, g: trim(sp, g, np.ones(g.n, bool), 12, IC, 0.5, 5, b=3).nodes, id="trim-b3"),
         pytest.param(lambda sp, g: asti(sp, g, 25, IC, 4, seed=6).seeds, id="asti"),
         pytest.param(lambda sp, g: adaptim(sp, g, 20, LT, 4, seed=7).seeds, id="adaptim"),
+        pytest.param(lambda sp, g: ateuc(sp, g, 60, LT, seed=8).seeds, id="ateuc"),
     ],
 )
 def test_spark_and_local_pick_identical_seeds(spark, small_cl_graph, force_spark, run):

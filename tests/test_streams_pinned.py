@@ -65,29 +65,29 @@ DIGESTS = {
     "realization-livejournal_lite-LT-1": "895b55a2e188864da7a664a50d9bc25e952c59bd56305a328293ac8ec17ee013",
     "realization-livejournal_lite-LT-2": "2da6a0eb980ba46e566ff72a10588b5d377f40735fde719c19333a28a1940fec",
     "seeds-nethept_lite-IC-asti-0": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
-    "seeds-nethept_lite-IC-asti-1": "acf2ae4c2e8255cdc4b4875e60420ee725165ffec72340c5db447bb0bd77a226",
+    "seeds-nethept_lite-IC-asti-1": "afab4f6abfc82eac07397c7514a2088de5244540c273c97d2057da6103e15285",
     "seeds-nethept_lite-IC-asti-2": "04e4b0d6bf324138670e555ab31dc93c600d8910db893c487850ea3982fe07bb",
-    "seeds-nethept_lite-IC-asti4-0": "8fd9d75eca3a2d8856db6887f8798bbaab9d1234e193fa3cb86fcfceb4f0ffc4",
-    "seeds-nethept_lite-IC-asti4-1": "939832d7beb41758e95ccfb4ca924007c9ac991412aa03733b648b5d1c69c5a7",
-    "seeds-nethept_lite-IC-asti4-2": "ab666fe68280775f0858fc389e4a8d1d3cfb735c4003351a67bd568629704bff",
+    "seeds-nethept_lite-IC-asti4-0": "30ab33badd948c8f6f3a657dd6575b2435a1e283671b0fdbad349af5f1060844",
+    "seeds-nethept_lite-IC-asti4-1": "62978ffd7f098fbbab3beed717372639cf97a52fb23f3f89049239287dc80101",
+    "seeds-nethept_lite-IC-asti4-2": "7f995121015b8ac33f46daf1cf69908896a76b73c26f04dd6b918837bd71a631",
     "seeds-nethept_lite-IC-adaptim-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-IC-adaptim-1": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
     "seeds-nethept_lite-IC-adaptim-2": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
     "seeds-nethept_lite-IC-ateuc-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-IC-ateuc-1": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-IC-ateuc-2": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
-    "seeds-nethept_lite-LT-asti-0": "a7109f01f209914b33503d83f066b9392ec8ea91ac46eeac74d6bff36711e1a2",
-    "seeds-nethept_lite-LT-asti-1": "04e4b0d6bf324138670e555ab31dc93c600d8910db893c487850ea3982fe07bb",
-    "seeds-nethept_lite-LT-asti-2": "38fd84679696125734535989e0bca2ae52e7a2a731593d0152232668f095dcec",
-    "seeds-nethept_lite-LT-asti4-0": "a2d387a258117e7c4c07f72759394c1dd0b4b036288c6b71fec6d3b1fd99d443",
-    "seeds-nethept_lite-LT-asti4-1": "76e0846dd199236b99ad323a8b4387a2b42b72a91436bff1a1fe07e1f60d8b41",
-    "seeds-nethept_lite-LT-asti4-2": "78dcbc765e9270ee3977e8af815d0ff53e5bfecf051f7251d5025e42eff9812a",
+    "seeds-nethept_lite-LT-asti-0": "f3a10786dab85b1ad73e83d42e02399a4d6d0c7c6a1a46e522921628610615e5",
+    "seeds-nethept_lite-LT-asti-1": "413d90b423f174a7481f306320ff5aefe47975530e527176e8c43278810d8cf4",
+    "seeds-nethept_lite-LT-asti-2": "3f27be98eb3d5ca55498d26c9e6a4466146065e0a84d59cf43940088293b3f89",
+    "seeds-nethept_lite-LT-asti4-0": "db40da8198361c5bdce02dcefe42b50aa060492ab58f96469123525ac9693f15",
+    "seeds-nethept_lite-LT-asti4-1": "430ce8e3f87c8db872158911ed75cbc296a6b09ec7714b647d2ba5daea17bdb1",
+    "seeds-nethept_lite-LT-asti4-2": "43fbffc655659f49ee6268fe4bae0170caf2075ed685957a388345c4080de45e",
     "seeds-nethept_lite-LT-adaptim-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-LT-adaptim-1": "8fd9d75eca3a2d8856db6887f8798bbaab9d1234e193fa3cb86fcfceb4f0ffc4",
     "seeds-nethept_lite-LT-adaptim-2": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
-    "seeds-nethept_lite-LT-ateuc-0": "204cbfb4436ac612c0b8f185fcd64fa625ffaffb5f70e9195962d45477a5d994",
-    "seeds-nethept_lite-LT-ateuc-1": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
-    "seeds-nethept_lite-LT-ateuc-2": "204cbfb4436ac612c0b8f185fcd64fa625ffaffb5f70e9195962d45477a5d994",
+    "seeds-nethept_lite-LT-ateuc-0": "5cb1216ebf07aba23a2ce821c04491664736938d0db231c64fef7b96183a6e9b",
+    "seeds-nethept_lite-LT-ateuc-1": "92a94dbc8361bc38c97e7d0e8ec8b9c23a16153687da24f19a84b0e86d8276ef",
+    "seeds-nethept_lite-LT-ateuc-2": "92a94dbc8361bc38c97e7d0e8ec8b9c23a16153687da24f19a84b0e86d8276ef",
 }
 
 
