@@ -10,8 +10,8 @@ calls ``sample_pool`` at a fixed seed on each venue, ``RUNS`` times in
 turn, and keeps the median wall time of each. The local venue is
 ``spark=None``. The Spark venue is a warm ``local[4]`` session with
 ``mrr.SPARK_MIN_MEMBERS`` set to 0, so every call goes to the executors
-(the first batch of blocks, which holds block 0 and which the switch
-draws on the driver, is timed with it).
+(the first block, which the switch draws on the driver, is timed with
+it).
 Both venues return the same pool, whose size is the cell's ``members``.
 
 A line ``time = a + b·members`` is fitted to each venue's medians by

@@ -115,8 +115,12 @@ def greedy_max_coverage(
             break
         if covered is None:  # counts are still the initial ones here
             # The set holding each member position, grouped by node (any
-            # order within a node works).
-            node_sets = np.searchsorted(indptr, np.argsort(members), side="right") - 1
+            # order within a node works): a stable sort of the members on
+            # the narrowest dtype holding n is a linear radix sort up to
+            # 16 bits.
+            set_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+            by_node = np.argsort(members.astype(np.min_scalar_type(n)), kind="stable")
+            node_sets = set_of[by_node]
             node_ptr = np.concatenate([[0], np.cumsum(counts)]).tolist()
             covered = np.zeros(len(indptr) - 1, dtype=bool)
         sets_v = node_sets[node_ptr[v] : node_ptr[v + 1]]

@@ -7,8 +7,10 @@ a set never holds a node twice.
 The block kernel is checked against ``_reference_pool``, a per-set
 Python BFS (the kernel it replaced): the two draw from different
 streams, so they are compared in distribution."""
+import ctypes
 import hashlib
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -137,36 +139,36 @@ def test_roots_are_uniform_distinct_active(eta_i):
 
 @pytest.mark.parametrize("roots,eta_i", [("mrr", 10), ("rr", 1)])
 @pytest.mark.parametrize("model", [IC, LT])
-def test_pool_does_not_depend_on_chunk(small_cl_graph, monkeypatch, model, roots, eta_i):
-    """Expanding the frontier 5 keys at a time gives the same bytes as
-    the default ``CHUNK``."""
+def test_pool_does_not_depend_on_chunk(small_cl_graph, model, roots, eta_i):
+    """Drawing a pool's blocks in kernel calls of 1 or 5 blocks each, the
+    chunks cut across the partial last block, gives the bytes of
+    ``sample_pool``, which draws them in one call after the first."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[::10] = False
-    default = sample_pool(None, g, active, eta_i, model, BLOCK + 40, 13, roots=roots)
-    monkeypatch.setattr(mrr, "CHUNK", 5)
-    small = sample_pool(None, g, active, eta_i, model, BLOCK + 40, 13, roots=roots)
-    for a, b in zip(default, small):
-        np.testing.assert_array_equal(a, b)
+    n_sets = 5 * BLOCK + 40
+    indptr, members = sample_pool(None, g, active, eta_i, model, n_sets, 13, roots=roots)
+    draw = partial(mrr._sample_blocks, g.payload(), active, eta_i, model, roots, n_sets, 13)
+    for chunk in (1, 5):
+        parts = [draw(range(lo, min(lo + chunk, 6))) for lo in range(0, 6, chunk)]
+        sizes = np.concatenate([s for s, _ in parts])
+        np.testing.assert_array_equal(np.diff(indptr), sizes)
+        np.testing.assert_array_equal(members, np.concatenate([m for _, m in parts]))
 
 
-@pytest.mark.parametrize("chunk", [pytest.param(None, id="CHUNK"), pytest.param(5, id="CHUNK=5")])
 @pytest.mark.parametrize("n_active", [pytest.param(None, id="90%"), pytest.param(1, id="one")])
 @pytest.mark.parametrize("model", [IC, LT])
-def test_batch_equals_its_blocks_alone(small_cl_graph, monkeypatch, model, n_active, chunk):
-    """One kernel call over a run of RR blocks gives the bytes of its
-    blocks drawn one call each, with a partial last block and 10% of the
-    nodes inactive; at ``CHUNK = 5`` a step's chunks straddle blocks.
-    With one active node every set has k = 1 > n_i/2 and takes the
-    left-out branch of ``_draw_roots``."""
+def test_batch_equals_its_blocks_alone(small_cl_graph, model, n_active):
+    """One kernel call over a run of RR blocks, which share one bitmap,
+    gives the bytes of its blocks drawn one call each, with a partial
+    last block and 10% of the nodes inactive. With one active node every
+    set has k = 1 > n_i/2 and takes the left-out branch of the roots."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[::10] = False
     if n_active is not None:
         active[:] = False
         active[np.argmax(g.indeg)] = True
-    if chunk is not None:
-        monkeypatch.setattr(mrr, "CHUNK", chunk)
     draw = partial(mrr._sample_blocks, g.payload(), active, 1, model, "rr", 3 * BLOCK + 40, 13)
     for js in (range(4), range(1, 3)):
         sizes, members = draw(js)
@@ -196,28 +198,33 @@ def test_left_out_roots_stream_pinned(small_cl_graph, model, digest):
     assert h.hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "n,roots,per",
-    [
-        (4000, "rr", 8),  # bitmap 7.8 MiB
-        (8200, "rr", 3),  # the 8 MiB bitmap caps the batch
-        (1200, "mrr", 1),  # mRR blocks run alone
-        (10**6, "rr", 1),  # one block's bitmap exceeds the cap
-    ],
-)
-def test_blocks_per_batch(n, roots, per):
-    assert mrr.blocks_per_batch(n, roots) == per
+class _Bitgen(ctypes.Structure):
+    """numpy's ``bitgen_t`` (``numpy/random/bitgen.h``)."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in
+                ("state", "next_uint64", "next_uint32", "next_double", "next_raw")]
 
 
 class _LowUniforms:
     """A generator whose uniforms all read 1e-12, below the 5e-10 excess
-    weight, with real integer draws."""
+    weight, with real integer draws. Realizations call its ``random``;
+    the block kernel draws through its ``bitgen_t``, which has a real
+    PCG64's integer functions and a ``next_double`` that returns 1e-12."""
 
     def __init__(self, seed):
         self._rng = np.random.Generator(np.random.PCG64(seed))
-
-    def integers(self, *args, **kwargs):
-        return self._rng.integers(*args, **kwargs)
+        real = self._rng.bit_generator.ctypes
+        self._low = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda state: 1e-12)
+        address = partial(ctypes.cast, typ=ctypes.c_void_p)
+        self._bitgen = _Bitgen(
+            real.state,
+            address(real.next_uint64).value,
+            address(real.next_uint32).value,
+            address(self._low).value,
+            address(real.next_uint64).value,
+        )
+        bitgen = address(ctypes.pointer(self._bitgen))
+        self.bit_generator = SimpleNamespace(ctypes=SimpleNamespace(bit_generator=bitgen))
 
     def random(self, size=None):
         return np.full(size, 1e-12)

@@ -4,7 +4,7 @@ Every doubling iteration t of TRIM (b = 1 and b = 4, mRR and RR sets)
 and of ATEUC hands greedy the first θ_t sets of the round's one stream,
 ``sample_pool(…, θ_t, seed)``, on either venue; and a round that stops
 at iteration t has drawn blocks 0 … ⌈θ_t/BLOCK⌉ − 1, each once. The
-sampler's one bitmap per call leaks nothing between its batches or into
+kernel's one bitmap per call leaks nothing between its blocks or into
 the next call.
 """
 import hashlib
@@ -44,7 +44,7 @@ SEED = 5
 def _run_round(monkeypatch, spark, g, kind, model, eta, b, roots):
     """Run one round with greedy and the kernel spied on: the result,
     the active mask, η_i and θ_o its sampler saw, each pool greedy got,
-    and each batch of block ids drawn on the driver."""
+    and each run of block ids drawn on the driver."""
     pools, batches = [], []
     module = trim_module if kind == "trim" else ateuc_module
     greedy, kernel = module.greedy_max_coverage, mrr._sample_blocks
@@ -111,8 +111,8 @@ def test_spark_rounds_read_the_local_stream(spark, small_cl_graph, monkeypatch, 
 
 
 # Back-to-back calls: (dataset, model, roots, η/n, n_sets, first_block).
-# RR calls on nethept_lite run several batches that share the call's
-# bitmap; the last batch and block are partial.
+# Each call's blocks after its first share one kernel call and its
+# bitmap; the last block is partial in two calls.
 CALLS = [
     ("nethept_lite", IC, "rr", None, 20 * BLOCK + 17, 0),
     ("livejournal_lite", LT, "mrr", 0.02, 3 * BLOCK, 1),
