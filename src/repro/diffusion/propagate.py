@@ -2,7 +2,7 @@
 
 ``spread_local`` is the one forward BFS, over the forward CSR and the
 realization's live-edge mask (the same for IC and LT), vectorized one
-frontier level at a time like the reverse mRR/RR kernel. The adaptive
+frontier level at a time. The adaptive
 harness uses it to *observe* a batch's actual influence (paper Alg. 1
 line 4); it supports an ``active`` mask so observation is restricted to
 still-inactive nodes, which is provably equivalent to full-graph

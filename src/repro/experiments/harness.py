@@ -59,8 +59,11 @@ def run_cell(
 ) -> list[RunRecord]:
     """All per-realization records for one experiment cell on graph ``g``.
 
-    Every algorithm runs with ε = 0.5 and algorithm seed 0; the run on
-    realization r draws from ``substream(0, r)``.
+    Every algorithm runs with ε = 0.5 and algorithm seed 0. The run on
+    realization r draws from ``substream(0, r)``, its sets from the paths
+    (r, round, block); ATEUC at threshold η draws from ``substream(0, η)``,
+    its sets from the paths (η, block), so each threshold reads its own
+    stream and none shares a path with an adaptive run.
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algo {algo!r}; expected one of {ALGOS}")
@@ -86,7 +89,7 @@ def run_cell(
 
     if algo == "ateuc":
         t0 = time.perf_counter()
-        sel = ateuc(spark, g, eta, model)
+        sel = ateuc(spark, g, eta, model, seed=substream(0, eta))
         select_time = time.perf_counter() - t0
         return [
             record(r, sel.n_seeds, len(spread_local(real, sel.seeds)), select_time)

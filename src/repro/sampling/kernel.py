@@ -70,10 +70,11 @@ def sample_blocks(
     active: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(sizes, members)`` of ``len(rngs)`` blocks of ``block`` sets:
-    block b draws from ``rngs[b]`` with root counts ``k[b·block …]``
-    and keeps its first ``takes[b]`` sets; each set's members ascend."""
+    block b draws its first ``takes[b]`` sets from ``rngs[b]`` with root
+    counts ``k[b·block …]``; each set's members come roots first, then in
+    the order nodes joined."""
     if payload["n"] >= 1 << 32:
-        raise ValueError("the block kernel packs node ids into 32 bits")
+        raise ValueError("the block kernel draws node indices as 32-bit integers")
     active_idx = np.flatnonzero(active)
     k = np.ascontiguousarray(k, dtype=np.int64)
     takes = np.ascontiguousarray(takes, dtype=np.int64)

@@ -22,8 +22,9 @@ members)``. A call may start at a later block of its stream:
 stream per round and draws each block of it once. Sets are drawn in
 blocks of ``BLOCK`` ids, each a CSR ``(sizes, members)`` drawn from the
 generator of the stream ``substream(seed, j)`` alone: its root counts
-by ``sample_root_size``, then its roots and reverse BFS by the compiled
-kernel (``kernel.py``, ``block_kernel.c``) from the same generator. Set
+by ``sample_root_size``, then, one set after another, each set's roots
+and reverse BFS by the compiled kernel (``kernel.py``,
+``block_kernel.c``) from the same generator. Set
 ``i`` is the same whether the driver or a Spark task
 (``sample_sets_pairs``, one ``mapInPandas`` row per block over a
 broadcast reverse CSR) draws it. ``substream`` is the one
@@ -54,13 +55,13 @@ BLOCK = 256
 # Below this many estimated members per call, executor fan-out costs
 # more than it saves. BENCH_venue.json (benchmarks/venue_crossover.py;
 # 4 cores, warm local[4], IC, RR and mRR, 4,096–65,536 lite sets, up to
-# 3.2M members) fits local ≈ 0.24 µs/member (no fixed cost) and Spark ≈
-# 0.77 s + 0.18 µs/member: the lines meet near 12.3M members, rounded
-# here to 12M. That lies beyond the largest call measured, which the
+# 3.2M members) fits local ≈ 0.13 µs/member (no fixed cost) and Spark ≈
+# 0.55 s + 0.08 µs/member: the lines meet near 11.0M members, rounded
+# here to 11M. That lies beyond the largest call measured, which the
 # driver won, as it won every cell; on calls above 1M members its cost
-# ranges from 0.14 (nethept_lite) to 0.31 µs/member (livejournal_lite).
+# ranges from 0.07 (nethept_lite) to 0.20 µs/member (livejournal_lite).
 # Only the execution venue changes, never the sets.
-SPARK_MIN_MEMBERS = 12_000_000
+SPARK_MIN_MEMBERS = 11_000_000
 
 Pool = tuple[np.ndarray, np.ndarray]
 EMPTY_POOL: Pool = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -104,11 +105,12 @@ def _sample_blocks(
     each block j in turn, block j drawn from the stream ``(seed, j)``
     only.
 
-    Block j's generator first draws its ``BLOCK`` root counts (mRR; an
+    Block j's generator first draws all ``BLOCK`` root counts (mRR; an
     RR set has one root), then the compiled kernel (``kernel.py``) draws
-    its roots and reverse BFS from the same generator. Every block draws
-    all ``BLOCK`` sets, and the last is then cut to the ids below
-    ``n_sets``, so the stream never depends on the pool size.
+    the roots and reverse BFS of its sets one after another from the same
+    generator, up to its last id below ``n_sets``. A set's draws follow
+    only those of the sets before it, so a set never depends on the pool
+    size.
     """
     rngs = [np.random.default_rng(substream(seed, j)) for j in js]
     n_i = int(np.count_nonzero(active))

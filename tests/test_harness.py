@@ -1,6 +1,8 @@
 """Experiment harness: cell runner, realization protocol, record schema."""
+import numpy as np
 import pytest
 
+from repro.experiments import harness
 from repro.experiments.harness import (
     ALGOS,
     eta_fracs,
@@ -76,3 +78,22 @@ def test_algos_registry():
 def test_adaptim_cell_runs(g_small):
     recs = run_cell(None, "tiny", "IC", "adaptim", 0.1, n_realizations=1, g=g_small)
     assert recs[0].meets_threshold
+
+
+def test_ateuc_thresholds_read_their_own_streams(g_small, monkeypatch):
+    """Two thresholds pass ATEUC different seeds, each a one-key path
+    (η), so its sets come from (η, block) paths, never from an adaptive
+    run's (realization, round, block) paths."""
+    seeds = {}
+    ateuc = harness.ateuc
+
+    def spy(spark, g, eta, model, *, seed):
+        seeds[eta] = seed
+        return ateuc(spark, g, eta, model, seed=seed)
+
+    monkeypatch.setattr(harness, "ateuc", spy)
+    for frac in (0.1, 0.2):
+        run_cell(None, "tiny", "IC", "ateuc", frac, n_realizations=1, g=g_small)
+    assert [ss.spawn_key for ss in seeds.values()] == [(15,), (30,)]
+    a, b = (ss.generate_state(4) for ss in seeds.values())
+    assert not np.array_equal(a, b)

@@ -1,7 +1,7 @@
 """Building and loading the compiled block kernel (``repro.sampling.kernel``).
 
-Each test works on a copy of the ``repro`` sources without a built
-library, so its kernel cache starts empty.
+Each test that builds works on a copy of the ``repro`` sources without
+a built library, so its kernel cache starts empty.
 """
 import hashlib
 import os
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.graphs.generator import dataset_csr
+from repro.sampling import kernel
 from repro.sampling.mrr import sample_pool
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +72,15 @@ def test_missing_compiler_fails_the_import(tmp_path):
     )
     assert done.returncode != 0
     assert "ImportError" in done.stderr and "`cc`" in done.stderr
+
+
+def test_kernel_compiles_without_warnings():
+    """The kernel source passes ``-Wall -Wextra -Werror``: the import's
+    build drops the compiler's output on success, so warnings surface
+    only here."""
+    done = subprocess.run(
+        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         f"-I{np.get_include()}", str(kernel.SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

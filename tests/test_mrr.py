@@ -4,11 +4,10 @@ input checks on either venue, and the distributed pairs path vs its
 oracle. Coverage Λ_R(v) is read off the pool as ``np.bincount(members)``:
 a set never holds a node twice.
 
-The block kernel is checked against ``_reference_pool``, a per-set
-Python BFS (the kernel it replaced): the two draw from different
+The block kernel is checked against ``_reference_pool``, a Python BFS
+that draws its roots with ``rng.choice``: the two draw from different
 streams, so they are compared in distribution."""
 import ctypes
-import hashlib
 from functools import partial
 from types import SimpleNamespace
 
@@ -110,7 +109,7 @@ def test_kernel_matches_reference_sampler(small_cl_graph, model, roots, eta_i):
     "eta_i",
     [
         pytest.param(5, id="k<=half"),  # k = 7 of n_i = 35
-        pytest.param(2, id="k>half"),  # k in {17, 18}: both branches per block
+        pytest.param(2, id="k>half"),  # k in {17, 18} of n_i = 35
         pytest.param(1, id="k=n_i"),
     ],
 )
@@ -159,10 +158,10 @@ def test_pool_does_not_depend_on_chunk(small_cl_graph, model, roots, eta_i):
 @pytest.mark.parametrize("n_active", [pytest.param(None, id="90%"), pytest.param(1, id="one")])
 @pytest.mark.parametrize("model", [IC, LT])
 def test_batch_equals_its_blocks_alone(small_cl_graph, model, n_active):
-    """One kernel call over a run of RR blocks, which share one bitmap,
-    gives the bytes of its blocks drawn one call each, with a partial
-    last block and 10% of the nodes inactive. With one active node every
-    set has k = 1 > n_i/2 and takes the left-out branch of the roots."""
+    """One kernel call over a run of RR blocks gives the bytes of its
+    blocks drawn one call each, with a partial last block and 10% of the
+    nodes inactive, or with one active node, the root of every set
+    (k = n_i = 1)."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[::10] = False
@@ -177,27 +176,6 @@ def test_batch_equals_its_blocks_alone(small_cl_graph, model, n_active):
         np.testing.assert_array_equal(members, np.concatenate([m for _, m in alone]))
 
 
-@pytest.mark.parametrize(
-    "model,digest",
-    [
-        (IC, "4f3abc91bb49b3d789d7cc2cf7d0739aba612a149a094bf2266ca0355dc49dd2"),
-        (LT, "366eac8f79ce2fd0a991fd8ef28ee3ec3aada244a44df763a22e25e7544b3632"),
-    ],
-)
-def test_left_out_roots_stream_pinned(small_cl_graph, model, digest):
-    """A block whose sets mix k ≤ n_i/2 and k > n_i/2 enters its first BFS
-    step with its roots sorted, so its draws, and this sha256 of 300 sets
-    (k in {67, 68} of n_i = 135), stay those of the kernel that drew one
-    block per call. ``tests/test_streams_pinned.py`` has no such case."""
-    g = small_cl_graph
-    active = np.ones(g.n, bool)
-    active[::10] = False
-    h = hashlib.sha256()
-    for a in sample_pool(None, g, active, 2, model, 300, 13, roots="mrr"):
-        h.update(np.ascontiguousarray(a).tobytes())
-    assert h.hexdigest() == digest
-
-
 class _Bitgen(ctypes.Structure):
     """numpy's ``bitgen_t`` (``numpy/random/bitgen.h``)."""
 
@@ -209,25 +187,62 @@ class _LowUniforms:
     """A generator whose uniforms all read 1e-12, below the 5e-10 excess
     weight, with real integer draws. Realizations call its ``random``;
     the block kernel draws through its ``bitgen_t``, which has a real
-    PCG64's integer functions and a ``next_double`` that returns 1e-12."""
+    PCG64's integer functions and calls ``next_double`` for a uniform."""
 
     def __init__(self, seed):
         self._rng = np.random.Generator(np.random.PCG64(seed))
         real = self._rng.bit_generator.ctypes
-        self._low = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda state: 1e-12)
+        self._real_double = real.next_double
+        self._double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(self.next_double)
         address = partial(ctypes.cast, typ=ctypes.c_void_p)
         self._bitgen = _Bitgen(
             real.state,
             address(real.next_uint64).value,
             address(real.next_uint32).value,
-            address(self._low).value,
+            address(self._double).value,
             address(real.next_uint64).value,
         )
         bitgen = address(ctypes.pointer(self._bitgen))
         self.bit_generator = SimpleNamespace(ctypes=SimpleNamespace(bit_generator=bitgen))
 
+    def next_double(self, state):
+        return 1e-12
+
     def random(self, size=None):
         return np.full(size, 1e-12)
+
+
+class _CountedUniforms(_LowUniforms):
+    """A generator whose ``bitgen_t`` is a real PCG64's and counts its
+    ``next_double`` calls."""
+
+    calls = 0
+
+    def next_double(self, state):
+        self.calls += 1
+        return self._real_double(state)
+
+
+@pytest.mark.parametrize("model", [IC, LT])
+def test_a_set_draws_only_its_own_uniforms(small_cl_graph, monkeypatch, model):
+    """A block draws its sets one after another and stops after the last
+    set the pool keeps, so a pool of one RR set draws fewer uniforms than
+    a pool of ``BLOCK`` sets at the same seed, whose first set it is."""
+    gens = []
+
+    def counted(seed):
+        gens.append(_CountedUniforms(seed))
+        return gens[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    calls = []
+    for n_sets in (1, BLOCK):
+        gens.clear()
+        sample_pool(None, g, active, 1, model, n_sets, 3, roots="rr")
+        calls.append(sum(gen.calls for gen in gens))
+    assert calls[0] < calls[1]
 
 
 @pytest.mark.parametrize("draws", ["low", "random"])
@@ -246,7 +261,7 @@ def test_lt_pick_stays_in_own_slots(monkeypatch, draws):
     active = np.ones(g.n, bool)
     indptr, members = sample_pool(None, g, active, 1, LT, 2000, 3, roots="rr")
     sets = np.split(members, indptr[1:-1])
-    for s in sets:  # sorted; nodes 3..6 have no in-edges, so root = s[0]
+    for s in sets:  # roots first; nodes 3..6 have no in-edges, so root = s[0]
         assert set(s[1:].tolist()) <= set(g.in_neighbors(s[0]).tolist())
     reals = [sample_realization(g, LT, seed) for seed in range(200)]
     for real in reals:

@@ -40,18 +40,18 @@ ITEMS = (
 )
 
 DIGESTS = {
-    "pool-nethept_lite-IC-mrr5": "72bdcec5125c34ea8b2bd8d44da54ad8464ca60636610fecf833e2c9ed8222ef",
-    "pool-nethept_lite-IC-mrr50": "f7fd818dfba34dc7f767cc32dd6336fb0e2ed09059ee2cee6e6b1d53537042ce",
-    "pool-nethept_lite-IC-rr": "567c5114e5694f9ecce88e2ab084ff578c504593ea625b2e30f0ecf09918319b",
-    "pool-nethept_lite-LT-mrr5": "5b47d1b06e8b60f24f0c94a63b043c70d32d20320768469f04ad312e822deab2",
-    "pool-nethept_lite-LT-mrr50": "a9caa42acacd637336ea497cb65a482b5e5ce80cbece9b1ec806eeb195670cb4",
-    "pool-nethept_lite-LT-rr": "576493cb9fa58304168438ecba902555bcc4f9ac67f3b5f36da645a146f1e10d",
-    "pool-livejournal_lite-IC-mrr5": "c32954dd8d12687b1035f8ebbcb9adedd3e5e8d6080e97a4b9d3e22cb9fa89d0",
-    "pool-livejournal_lite-IC-mrr50": "26c3ebd2536750180846f5a2789e44b33753b3c900d9049a198d5999858301bc",
-    "pool-livejournal_lite-IC-rr": "d73f1efdd565a20fb0339ea38d22da7ca26195bf197b9d2e44eb62ab0cfee4f2",
-    "pool-livejournal_lite-LT-mrr5": "4b6df3f46f998b1e75c6a07abf0be136ad64fefd7f2aeca837adb0b8a22eb061",
-    "pool-livejournal_lite-LT-mrr50": "f9a0624d7f33b536b9a30da3aa08ef5bf1650e8cfaf00323c78251dddf1c9379",
-    "pool-livejournal_lite-LT-rr": "b2e93812c02ca3f1ba738cb51a85d0aab3c9a85ad3b8f3d962457a6418221f4d",
+    "pool-nethept_lite-IC-mrr5": "7879aac8447f7cffa92c282db3c7b13341cbdadc30fe30efae6533e36f237028",
+    "pool-nethept_lite-IC-mrr50": "f5f93a6cc7df26a29d27346efbd6e498d433b62ed5a1a6a32bb04a47ff880ff6",
+    "pool-nethept_lite-IC-rr": "bbd5c3a6e0049ca23d587c46cf16078baddb8000201719538a8a1c9806820d23",
+    "pool-nethept_lite-LT-mrr5": "41d7cacd8cd4a01c7885e789c28152ae027238df63d1ff3a075ef3212165a6e7",
+    "pool-nethept_lite-LT-mrr50": "1a88bcfd3c8ee19f0f708237ac1c394285a19e472dbc1eee6ce6e987e31670e8",
+    "pool-nethept_lite-LT-rr": "ae4d741abc94d240c2c251ca39fb15eb8da63052b3e18de6d0b344aac9a0cdaf",
+    "pool-livejournal_lite-IC-mrr5": "550e565a26622eccd8e98a16c5a07739874ec83c7aaf08bca01045984b5576ae",
+    "pool-livejournal_lite-IC-mrr50": "9cd347213d04769d8f1f4c1d8c181d4824422c3a3886fe9e2bc011b6a37a1466",
+    "pool-livejournal_lite-IC-rr": "25243cd1bc36cb97baa1e88af02b078c2029cdff7c1ee97050394bbe06520a7a",
+    "pool-livejournal_lite-LT-mrr5": "70e876a923b4754e59b4612944ba465578bc54ba4ff85485703ef21a06cb9062",
+    "pool-livejournal_lite-LT-mrr50": "addad2bd53b7a8e8173a9385605fd177de6a1f140293b80bf75d8a7d13358d43",
+    "pool-livejournal_lite-LT-rr": "e47fe51a77eef6f73bbb5f0b1951a118949b287d8b715d87bfa814189131ecaf",
     "realization-nethept_lite-IC-0": "daa8831f08bd4eb5829caec5f505dedc938b512f373b101b82a3621ff5d41ecd",
     "realization-nethept_lite-IC-1": "3f6e18d28ceeb1496bd329d4d38f7634614ec438743796c776d7c59a0f534842",
     "realization-nethept_lite-IC-2": "a44abc0fcaf0abdfafe0bf7da71195ea74238b100e69d21fd660c5f2b56283cd",
@@ -65,27 +65,27 @@ DIGESTS = {
     "realization-livejournal_lite-LT-1": "895b55a2e188864da7a664a50d9bc25e952c59bd56305a328293ac8ec17ee013",
     "realization-livejournal_lite-LT-2": "2da6a0eb980ba46e566ff72a10588b5d377f40735fde719c19333a28a1940fec",
     "seeds-nethept_lite-IC-asti-0": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
-    "seeds-nethept_lite-IC-asti-1": "afab4f6abfc82eac07397c7514a2088de5244540c273c97d2057da6103e15285",
+    "seeds-nethept_lite-IC-asti-1": "33de7f5e125f78ae7a64649ad030a00863c7c72e9bb9440fe4f2495e82a7be56",
     "seeds-nethept_lite-IC-asti-2": "04e4b0d6bf324138670e555ab31dc93c600d8910db893c487850ea3982fe07bb",
-    "seeds-nethept_lite-IC-asti4-0": "30ab33badd948c8f6f3a657dd6575b2435a1e283671b0fdbad349af5f1060844",
-    "seeds-nethept_lite-IC-asti4-1": "62978ffd7f098fbbab3beed717372639cf97a52fb23f3f89049239287dc80101",
-    "seeds-nethept_lite-IC-asti4-2": "7f995121015b8ac33f46daf1cf69908896a76b73c26f04dd6b918837bd71a631",
+    "seeds-nethept_lite-IC-asti4-0": "b718c3dacfb13fe94677e055a984324df1ff2171e019efeef0d82155b4998b2e",
+    "seeds-nethept_lite-IC-asti4-1": "3f62ac40c8f0b177534328a91884defc76fc053013d46a25da0ba493b108649a",
+    "seeds-nethept_lite-IC-asti4-2": "a9f4c08f6ab55fc210ec50249395b267832408f3823a205fb1faf7734cad4efc",
     "seeds-nethept_lite-IC-adaptim-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-IC-adaptim-1": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
     "seeds-nethept_lite-IC-adaptim-2": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
     "seeds-nethept_lite-IC-ateuc-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-IC-ateuc-1": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-IC-ateuc-2": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
-    "seeds-nethept_lite-LT-asti-0": "f3a10786dab85b1ad73e83d42e02399a4d6d0c7c6a1a46e522921628610615e5",
-    "seeds-nethept_lite-LT-asti-1": "413d90b423f174a7481f306320ff5aefe47975530e527176e8c43278810d8cf4",
+    "seeds-nethept_lite-LT-asti-0": "122a63ff15187ed0d0c6b771458e5abdceadf47e78c9caa2837e437ca8b3f54e",
+    "seeds-nethept_lite-LT-asti-1": "04e4b0d6bf324138670e555ab31dc93c600d8910db893c487850ea3982fe07bb",
     "seeds-nethept_lite-LT-asti-2": "3f27be98eb3d5ca55498d26c9e6a4466146065e0a84d59cf43940088293b3f89",
-    "seeds-nethept_lite-LT-asti4-0": "db40da8198361c5bdce02dcefe42b50aa060492ab58f96469123525ac9693f15",
-    "seeds-nethept_lite-LT-asti4-1": "430ce8e3f87c8db872158911ed75cbc296a6b09ec7714b647d2ba5daea17bdb1",
-    "seeds-nethept_lite-LT-asti4-2": "43fbffc655659f49ee6268fe4bae0170caf2075ed685957a388345c4080de45e",
+    "seeds-nethept_lite-LT-asti4-0": "91312df4ba90369d8ab603f8adf81bb030afa54ab527a76fe0893ec62a85bfb0",
+    "seeds-nethept_lite-LT-asti4-1": "b584d91d7ccea6b5fd5d806d7575f78d0c3146818a4ff702d965f4aec677ce86",
+    "seeds-nethept_lite-LT-asti4-2": "2bf975c9106482ce472d9db2470b0643a3a1746298f79d79a41689512dc4daf2",
     "seeds-nethept_lite-LT-adaptim-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-LT-adaptim-1": "8fd9d75eca3a2d8856db6887f8798bbaab9d1234e193fa3cb86fcfceb4f0ffc4",
     "seeds-nethept_lite-LT-adaptim-2": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
-    "seeds-nethept_lite-LT-ateuc-0": "5cb1216ebf07aba23a2ce821c04491664736938d0db231c64fef7b96183a6e9b",
+    "seeds-nethept_lite-LT-ateuc-0": "bfe044a233edda62deb91135a1fc66ffe1028fbb0b7614f77434844a6d58e254",
     "seeds-nethept_lite-LT-ateuc-1": "92a94dbc8361bc38c97e7d0e8ec8b9c23a16153687da24f19a84b0e86d8276ef",
     "seeds-nethept_lite-LT-ateuc-2": "92a94dbc8361bc38c97e7d0e8ec8b9c23a16153687da24f19a84b0e86d8276ef",
 }
