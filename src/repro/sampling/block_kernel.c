@@ -1,8 +1,17 @@
 /* The mRR/RR block kernel: the sets of consecutive blocks, each drawn from
- * its own numpy bit generator (see repro/sampling/kernel.py).
+ * its own PCG64 stream (see repro/sampling/kernel.py).
  *
- * Block b draws its first takes[b] sets one after another from its
- * generator. Set s draws, in this order:
+ * Block j's stream is the one numpy's default_rng(substream(seed, j))
+ * gives: the caller passes the seed's SeedSequence entropy as uint32 words
+ * (its run entropy zero-padded to 4 words, then its spawn key), the kernel
+ * appends j, mixes the words into SeedSequence's 4-word pool and seeds
+ * PCG64 from generate_state(4, uint64), as numpy does. Block b then draws,
+ * in this order:
+ *   0. (mRR only) its B root counts, one next_double u each:
+ *      k = k_low + (u < frac), clipped to [1, n_i], as
+ *      np.clip(k_low + (rng.random(B) < frac), 1, n_i) would give; an RR
+ *      set has k = 1 and draws nothing here;
+ * and then its first takes[b] sets, one after another. Set s draws:
  *   1. its k roots, by Floyd's algorithm: for j = n_i - k, ..., n_i - 1 one
  *      integer t uniform in [0, j] by numpy's bounded integer rule
  *      (Generator.integers); active node t joins the set, or active node j
@@ -16,13 +25,110 @@
  *      in-neighbour joins the set if it is active and not in it yet.
  * Each draw is the one Generator.random or Generator.integers would return
  * at that point of the block's stream, so a set depends only on the
- * block's generator state and the sets before it in the block;
+ * block's stream and the sets before it in the block;
  * tests/test_streams_pinned.py pins the sets that this order gives.
  */
 #include <stdint.h>
 #include <stdlib.h>
 
-#include "numpy/random/bitgen.h"
+#ifndef __SIZEOF_INT128__
+#error "the block kernel's PCG64 needs a C compiler with 128-bit integers (unsigned __int128)"
+#endif
+
+typedef unsigned __int128 u128;
+
+/* numpy's SeedSequence with pool size 4 (numpy/random/bit_generator.pyx). */
+#define POOL 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/* SeedSequence's generate_state(4, uint64) for the n entropy words. */
+static void seed_state(const uint32_t *entropy, int64_t n, uint64_t state[4])
+{
+    uint32_t pool[POOL], h = INIT_A;
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < n ? entropy[i] : 0, &h);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (int64_t src = POOL; src < n; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &h));
+    h = INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t w = pool[i % POOL] ^ h;
+        h *= MULT_B;
+        w *= h;
+        w ^= w >> 16;
+        /* Two little-endian uint32 words make one uint64. */
+        state[i / 2] = i % 2 ? state[i / 2] | (uint64_t)w << 32 : w;
+    }
+}
+
+/* numpy's PCG64 (XSL-RR 128/64) and the draws Generator makes from it;
+ * words counts the 64-bit outputs. */
+typedef struct {
+    u128 state, inc;
+    uint32_t half; /* next_uint32's buffered high half */
+    int has_half;
+    int64_t words;
+} pcg64;
+
+#define PCG_MULT ((u128)0x2360ED051FC65DA4ULL << 64 | 0x4385DF649FCCF645ULL)
+
+static void pcg64_seed(pcg64 *g, const uint64_t s[4])
+{
+    g->inc = ((u128)s[2] << 64 | s[3]) << 1 | 1;
+    g->state = g->inc;
+    g->state = (g->state + ((u128)s[0] << 64 | s[1])) * PCG_MULT + g->inc;
+    g->has_half = 0;
+}
+
+static uint64_t next_uint64(pcg64 *g)
+{
+    g->state = g->state * PCG_MULT + g->inc;
+    g->words++;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static double next_double(pcg64 *g)
+{
+    return (next_uint64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The low half of a 64-bit output, then its high half on the next call. */
+static uint32_t next_uint32(pcg64 *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return g->half;
+    }
+    uint64_t x = next_uint64(g);
+    g->half = (uint32_t)(x >> 32);
+    g->has_half = 1;
+    return (uint32_t)x;
+}
 
 typedef struct {
     int64_t *a;
@@ -45,15 +151,15 @@ static int push(vec *v, int64_t x)
 
 /* numpy's buffered_bounded_lemire_uint32: a uniform integer in [0, rng],
  * for rng < 0xFFFFFFFF. */
-static uint32_t bounded_u32(bitgen_t *bg, uint32_t rng)
+static uint32_t bounded_u32(pcg64 *g, uint32_t rng)
 {
     const uint32_t rng_excl = rng + 1;
-    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+    uint64_t m = (uint64_t)next_uint32(g) * rng_excl;
     uint32_t leftover = m & 0xFFFFFFFFUL;
     if (leftover < rng_excl) {
         const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
         while (leftover < threshold) {
-            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+            m = (uint64_t)next_uint32(g) * rng_excl;
             leftover = m & 0xFFFFFFFFUL;
         }
     }
@@ -81,19 +187,17 @@ typedef struct {
 
 /* Append one set with k roots to out, its members marked in seen: the
  * roots, then the nodes the reverse BFS reaches, which uses the set's part
- * of out as its queue. The graph and generator fields are copied to locals
- * so that the draw calls do not force them to be reloaded. */
-static int draw_set(bitgen_t *bg, const graph *g, int64_t k, uint64_t *seen, vec *out)
+ * of out as its queue. The graph fields are copied to locals so that the
+ * draws do not force them to be reloaded. */
+static int draw_set(pcg64 *rng, const graph *g, int64_t k, uint64_t *seen, vec *out)
 {
-    double (*next_double)(void *) = bg->next_double;
-    void *state = bg->state;
     const int64_t *indptr = g->indptr, *indices = g->indices;
     const double *probs = g->probs, *cum = g->cum;
     const uint8_t *active = g->active;
     const int lt = g->lt;
     int64_t head = out->len;
     for (int64_t j = g->n_i - k; j < g->n_i; j++) {
-        int64_t v = g->active_idx[j ? bounded_u32(bg, (uint32_t)j) : 0];
+        int64_t v = g->active_idx[j ? bounded_u32(rng, (uint32_t)j) : 0];
         if (test_set(seen, v)) {
             v = g->active_idx[j];
             test_set(seen, v);
@@ -104,7 +208,7 @@ static int draw_set(bitgen_t *bg, const graph *g, int64_t k, uint64_t *seen, vec
     for (; head < out->len; head++) {
         int64_t v = out->a[head], first = indptr[v], last = indptr[v + 1];
         if (lt) {
-            double r = next_double(state);
+            double r = next_double(rng);
             int64_t c = 0;
             for (int64_t j = first; j < last; j++)
                 c += cum[j] <= r;
@@ -113,7 +217,7 @@ static int draw_set(bitgen_t *bg, const graph *g, int64_t k, uint64_t *seen, vec
                 last = first + 1;
         }
         for (int64_t j = first; j < last; j++) {
-            if (!lt && !(next_double(state) < probs[j]))
+            if (!lt && !(next_double(rng) < probs[j]))
                 continue;
             int64_t u = indices[j];
             if (active[u] && !test_set(seen, u) && push(out, u))
@@ -124,42 +228,61 @@ static int draw_set(bitgen_t *bg, const graph *g, int64_t k, uint64_t *seen, vec
 }
 
 /* The sets of n_blocks blocks of B sets each: block b draws its first
- * takes[b] sets from bitgens[b], with root counts k[b*B ...]. Writes each
- * set's size to sizes (in set order) and sets *members to a malloc'd array
- * of their members, each set's roots first and then the nodes in the order
- * they joined; returns the member count, or -1 if memory ran out. The
- * caller frees *members with free_members. */
-int64_t sample_blocks(int64_t n_blocks, bitgen_t **bitgens, const int64_t *k,
-                      const int64_t *takes, int64_t B, int64_t n,
-                      const int64_t *indptr, const int64_t *indices, const double *probs,
-                      const double *cum, int lt, const uint8_t *active,
-                      const int64_t *active_idx, int64_t n_i, int64_t *sizes,
-                      int64_t **members)
+ * takes[b] sets from the stream of entropy + (js[b],), with root counts
+ * from k_low and frac when mrr is set, else one root each. Writes each
+ * set's size to sizes (in set order), the count of 64-bit words drawn to
+ * *words, and sets *members to a malloc'd array of the sets' members, each
+ * set's roots first and then the nodes in the order they joined; returns
+ * the member count, or -1 if memory ran out. The caller frees *members
+ * with free_members. */
+int64_t sample_blocks(const uint32_t *entropy, int64_t n_entropy, int64_t n_blocks,
+                      const int64_t *js, const int64_t *takes, int64_t B, int mrr,
+                      int64_t k_low, double frac, int64_t n, const int64_t *indptr,
+                      const int64_t *indices, const double *probs, const double *cum, int lt,
+                      const uint8_t *active, const int64_t *active_idx, int64_t n_i,
+                      int64_t *sizes, int64_t **members, int64_t *words)
 {
     graph g = {indptr, indices, probs, cum, lt, active, active_idx, n_i};
     uint64_t *seen = calloc((n + 63) / 64, sizeof *seen);
+    uint32_t *key = malloc((n_entropy + 1) * sizeof *key);
+    int64_t *k = malloc(B * sizeof *k);
+    pcg64 rng = {0};
     vec out = {0};
     int64_t result = -1;
     *members = NULL;
-    if (!seen)
+    if (!seen || !key || !k)
         goto done;
-    for (int64_t b = 0; b < n_blocks; b++)
+    for (int64_t i = 0; i < n_entropy; i++)
+        key[i] = entropy[i];
+    for (int64_t b = 0; b < n_blocks; b++) {
+        uint64_t state[4];
+        key[n_entropy] = (uint32_t)js[b];
+        seed_state(key, n_entropy + 1, state);
+        pcg64_seed(&rng, state);
+        for (int64_t s = 0; s < B; s++) {
+            k[s] = mrr ? k_low + (next_double(&rng) < frac) : 1;
+            k[s] = k[s] < 1 ? 1 : k[s] > n_i ? n_i : k[s];
+        }
         for (int64_t s = 0; s < takes[b]; s++) {
             int64_t start = out.len;
-            if (draw_set(bitgens[b], &g, k[b * B + s], seen, &out))
+            if (draw_set(&rng, &g, k[s], seen, &out))
                 goto done;
             *sizes++ = out.len - start;
             /* Every bit set in seen is a member of this set. */
             for (int64_t i = start; i < out.len; i++)
                 seen[out.a[i] >> 6] = 0;
         }
+    }
     /* Give back the doubling slack before the caller copies the members. */
     int64_t *fit = out.len ? realloc(out.a, out.len * sizeof *fit) : NULL;
     *members = fit ? fit : out.a;
     out.a = NULL;
     result = out.len;
+    *words = rng.words;
 done:
     free(seen);
+    free(key);
+    free(k);
     free(out.a);
     return result;
 }

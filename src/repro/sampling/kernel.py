@@ -1,17 +1,20 @@
 """The compiled block kernel, ``block_kernel.c``, loaded through ``ctypes``.
 
 The C source is built once with the system C compiler (``cc``) into
-``block_kernel-<hash>.so`` beside it, the hash covering the source, the
-flags and numpy's version; a build is written to a temporary file and
-moved into place with ``os.replace``, so processes that import this
-module at once each load a whole library. Importing this module builds
+``block_kernel-<hash>.so`` beside it, the hash covering the source and
+the flags; a build is written to a temporary file and moved into place
+with ``os.replace``, so processes that import this module at once each
+load a whole library. Importing this module builds
 or loads it: the driver builds, and local Spark executors, which import
 the same sources, load the driver's build. Without ``cc`` the import
 raises ``ImportError``.
 
-``sample_blocks`` draws each block from its own numpy ``Generator``
-through the generator's ``bitgen_t`` (``rng.bit_generator.ctypes``), in
-the order the header comment of ``block_kernel.c`` sets out.
+``sample_blocks`` draws block j from the stream numpy's
+``default_rng(substream(seed, j))`` would give, without building it: the
+kernel carries ports of numpy's ``SeedSequence`` (pool size 4) and
+``PCG64``, so this module passes only the seed's entropy words and the
+block ids, and the draws follow the order the header comment of
+``block_kernel.c`` sets out.
 """
 import ctypes
 import hashlib
@@ -30,7 +33,7 @@ FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
 def _build() -> Path:
     """The library built from ``SOURCE``, compiled first if not cached."""
     code = SOURCE.read_bytes()
-    key = hashlib.sha256(code + " ".join((*FLAGS, np.__version__)).encode()).hexdigest()[:16]
+    key = hashlib.sha256(code + " ".join(FLAGS).encode()).hexdigest()[:16]
     lib = SOURCE.with_name(f"block_kernel-{key}.so")
     if lib.exists():
         return lib
@@ -40,7 +43,7 @@ def _build() -> Path:
     fd, tmp = tempfile.mkstemp(prefix=".block_kernel-", suffix=".so", dir=SOURCE.parent)
     os.close(fd)
     try:
-        cmd = [cc, *FLAGS, f"-I{np.get_include()}", str(SOURCE), "-o", tmp]
+        cmd = [cc, *FLAGS, str(SOURCE), "-o", tmp]
         done = subprocess.run(cmd, capture_output=True, text=True)
         if done.returncode:
             raise ImportError(f"`cc` failed to build {SOURCE.name}:\n{done.stderr}")
@@ -55,43 +58,85 @@ _P = ctypes.c_void_p
 _I = ctypes.c_int64
 _LIB = ctypes.CDLL(str(_build()))
 _LIB.sample_blocks.restype = _I
-_LIB.sample_blocks.argtypes = [_I, _P, _P, _P, _I, _I, _P, _P, _P, _P, ctypes.c_int, _P, _P, _I, _P, _P]
+_LIB.sample_blocks.argtypes = [
+    _P, _I, _I, _P, _P, _I, ctypes.c_int, _I, ctypes.c_double,
+    _I, _P, _P, _P, _P, ctypes.c_int, _P, _P, _I, _P, _P, _P,
+]
 _LIB.free_members.restype = None
 _LIB.free_members.argtypes = [_P]
 
+# The SeedSequence pool size the kernel's port mixes into (numpy's default).
+POOL_SIZE = 4
+
+
+def _uint32_words(x) -> list[int]:
+    """numpy's coercion of ``SeedSequence`` entropy to uint32 words: an
+    integer's little-endian 32-bit words (one word for 0), a sequence's
+    elements' words in turn. ``SeedSequence`` has rejected negative
+    values already."""
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        words = [x & 0xFFFFFFFF]
+        while x := x >> 32:
+            words.append(x & 0xFFFFFFFF)
+        return words
+    return [w for v in x for w in _uint32_words(v)]
+
+
+def _entropy_words(seed: np.random.SeedSequence) -> np.ndarray:
+    """The words ``SeedSequence`` mixes for ``seed`` with a block id
+    appended to its spawn key: the run entropy zero-padded to the pool
+    size (the key is never empty), then the spawn key."""
+    if seed.pool_size != POOL_SIZE:
+        raise ValueError(f"the block kernel mixes a pool of {POOL_SIZE} words, not {seed.pool_size}")
+    run = _uint32_words(seed.entropy)
+    run += [0] * (POOL_SIZE - len(run))
+    return np.array(run + _uint32_words(seed.spawn_key), dtype=np.uint32)
+
 
 def sample_blocks(
-    rngs: list,
-    k: np.ndarray,
+    seed: np.random.SeedSequence,
+    js,
     takes: np.ndarray,
     block: int,
     payload: dict,
     lt: bool,
     active: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(sizes, members)`` of ``len(rngs)`` blocks of ``block`` sets:
-    block b draws its first ``takes[b]`` sets from ``rngs[b]`` with root
-    counts ``k[b·block …]``; each set's members come roots first, then in
-    the order nodes joined."""
+    root_law: tuple[int, float] | None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(sizes, members, words)`` of the blocks ``js`` of ``block`` sets:
+    block ``js[b]`` draws its first ``takes[b]`` sets from the stream of
+    ``SeedSequence(seed.entropy, spawn_key=seed.spawn_key + (js[b],))``.
+    With ``root_law = (k_low, frac)`` (mRR) the block first draws its
+    ``block`` root counts k_low + (u < frac), clipped to [1, n_i]; with
+    ``None`` (RR) every set has one root. Each set's members come roots
+    first, then in the order nodes joined; ``words`` counts the 64-bit
+    generator outputs drawn."""
     if payload["n"] >= 1 << 32:
         raise ValueError("the block kernel draws node indices as 32-bit integers")
-    active_idx = np.flatnonzero(active)
-    k = np.ascontiguousarray(k, dtype=np.int64)
+    js = np.ascontiguousarray(js, dtype=np.int64)
+    if js.size and (js.min() < 0 or js.max() >= 1 << 32):
+        raise ValueError("block ids must fit one uint32 spawn-key word")
     takes = np.ascontiguousarray(takes, dtype=np.int64)
+    if takes.shape != js.shape or (takes < 0).any() or (takes > block).any():
+        raise ValueError("takes needs one count in [0, block] per block")
+    entropy = _entropy_words(seed)
+    active_idx = np.flatnonzero(active)
     act = np.ascontiguousarray(active, dtype=np.uint8)
-    bitgens = np.array([rng.bit_generator.ctypes.bit_generator.value for rng in rngs], np.uintp)
+    k_low, frac = root_law or (1, 0.0)
     sizes = np.empty(int(takes.sum()), dtype=np.int64)
     out = _P()
+    words = _I()
     csr = [
         np.ascontiguousarray(payload[name], dtype)
         for name, dtype in (("rev_indptr", np.int64), ("rev_indices", np.int64),
                             ("rev_probs", np.float64), ("rev_cum", np.float64))
     ]
     count = _LIB.sample_blocks(
-        len(rngs), bitgens.ctypes.data, k.ctypes.data, takes.ctypes.data, block, payload["n"],
-        *(a.ctypes.data for a in csr), int(lt),
+        entropy.ctypes.data, len(entropy), len(js), js.ctypes.data, takes.ctypes.data, block,
+        root_law is not None, k_low, frac, payload["n"], *(a.ctypes.data for a in csr), int(lt),
         act.ctypes.data, active_idx.ctypes.data, len(active_idx), sizes.ctypes.data,
-        ctypes.byref(out),
+        ctypes.byref(out), ctypes.byref(words),
     )
     if count < 0:
         raise MemoryError("the block kernel ran out of memory")
@@ -100,4 +145,4 @@ def sample_blocks(
     members = np.empty(count, dtype=np.int64)
     ctypes.memmove(members.ctypes.data, out, 8 * count)
     _LIB.free_members(out)
-    return sizes, members
+    return sizes, members, words.value

@@ -20,11 +20,11 @@ drawn first on the driver, and returns one CSR pool ``(indptr,
 members)``. A call may start at a later block of its stream:
 ``doubling_pools``, the doubling rule of TRIM and ATEUC, reads one
 stream per round and draws each block of it once. Sets are drawn in
-blocks of ``BLOCK`` ids, each a CSR ``(sizes, members)`` drawn from the
-generator of the stream ``substream(seed, j)`` alone: its root counts
-by ``sample_root_size``, then, one set after another, each set's roots
-and reverse BFS by the compiled kernel (``kernel.py``,
-``block_kernel.c``) from the same generator. Set
+blocks of ``BLOCK`` ids, each a CSR ``(sizes, members)`` drawn by the
+compiled kernel (``kernel.py``, ``block_kernel.c``) from the generator
+of the stream ``substream(seed, j)`` alone, which the kernel seeds
+itself: its root counts, then, one set after another, each set's roots
+and reverse BFS. Set
 ``i`` is the same whether the driver or a Spark task
 (``sample_sets_pairs``, one ``mapInPandas`` row per block over a
 broadcast reverse CSR) draws it. ``substream`` is the one
@@ -76,20 +76,6 @@ def substream(seed: Seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=key)
 
 
-def sample_root_size(
-    n_i: int, eta_i: int, rng: np.random.Generator, size: int | None = None
-):
-    """Randomized-rounded root counts with E[k] = n_i/η_i (Thm 3.3).
-
-    k = ⌊n_i/η_i⌋ + 1 with probability frac(n_i/η_i), else ⌊n_i/η_i⌋,
-    clipped to [1, n_i]: one count for ``size=None``, else an array of
-    ``size`` counts from one vectorized draw.
-    """
-    ratio = n_i / eta_i
-    k_low = int(ratio)
-    return np.clip(k_low + (rng.random(size) < ratio - k_low), 1, n_i)
-
-
 def _sample_blocks(
     payload: dict,
     active: np.ndarray,
@@ -105,21 +91,24 @@ def _sample_blocks(
     each block j in turn, block j drawn from the stream ``(seed, j)``
     only.
 
-    Block j's generator first draws all ``BLOCK`` root counts (mRR; an
-    RR set has one root), then the compiled kernel (``kernel.py``) draws
-    the roots and reverse BFS of its sets one after another from the same
-    generator, up to its last id below ``n_sets``. A set's draws follow
-    only those of the sets before it, so a set never depends on the pool
-    size.
+    The compiled kernel (``kernel.py``) derives block j's generator from
+    ``substream(seed)`` and j as ``default_rng(substream(seed, j))``
+    would; the generator first draws all ``BLOCK`` root counts by the
+    root-size law (mRR: k = ⌊n_i/η_i⌋ + 1 with probability
+    frac(n_i/η_i), else ⌊n_i/η_i⌋, clipped to [1, n_i], so E[k] = n_i/η_i
+    as Thm 3.3 needs; an RR set has one root), then the roots and reverse
+    BFS of its sets one after another, up to its last id below
+    ``n_sets``. A set's draws follow only those of the sets before it, so
+    a set never depends on the pool size.
     """
-    rngs = [np.random.default_rng(substream(seed, j)) for j in js]
     n_i = int(np.count_nonzero(active))
-    if roots == "mrr":
-        k = np.concatenate([sample_root_size(n_i, eta_i, rng, BLOCK) for rng in rngs])
-    else:
-        k = np.ones(len(js) * BLOCK, dtype=np.int64)
+    ratio = n_i / eta_i
+    root_law = (int(ratio), ratio - int(ratio)) if roots == "mrr" else None
     takes = np.minimum(BLOCK, n_sets - BLOCK * np.asarray(js, dtype=np.int64))
-    return kernel.sample_blocks(rngs, k, takes, BLOCK, payload, model == LT, active)
+    sizes, members, _ = kernel.sample_blocks(
+        substream(seed), js, takes, BLOCK, payload, model == LT, active, root_law
+    )
+    return sizes, members
 
 
 def _check_inputs(g: GraphCSR, active: np.ndarray, model: str, roots: str) -> None:

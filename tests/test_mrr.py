@@ -6,10 +6,10 @@ a set never holds a node twice.
 
 The block kernel is checked against ``_reference_pool``, a Python BFS
 that draws its roots with ``rng.choice``: the two draw from different
-streams, so they are compared in distribution."""
-import ctypes
+streams, so they are compared in distribution. The kernel's own seeding
+is checked exactly against numpy's generators, on a graph without
+edges."""
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -24,14 +24,27 @@ from repro.diffusion.propagate import (
 from repro.diffusion.realization import IC, LT, sample_realization
 from repro.graphs.csr import GraphCSR
 from repro.oracle import assert_equivalent
+from repro.sampling import kernel
 from repro.sampling.mrr import (
     BLOCK,
     sample_pool,
-    sample_root_size,
     sample_sets_pairs,
     substream,
 )
 from tests.pools import csr_pool
+
+
+def sample_root_size(n_i: int, eta_i: int, rng: np.random.Generator, size: int | None = None):
+    """Randomized-rounded root counts with E[k] = n_i/η_i (Thm 3.3), the
+    law the block kernel draws its mRR root counts by.
+
+    k = ⌊n_i/η_i⌋ + 1 with probability frac(n_i/η_i), else ⌊n_i/η_i⌋,
+    clipped to [1, n_i]: one count for ``size=None``, else an array of
+    ``size`` counts from one vectorized draw.
+    """
+    ratio = n_i / eta_i
+    k_low = int(ratio)
+    return np.clip(k_low + (rng.random(size) < ratio - k_low), 1, n_i)
 
 
 def _reference_bfs(payload, active, roots, rng, model):
@@ -94,13 +107,13 @@ def test_kernel_matches_reference_sampler(small_cl_graph, model, roots, eta_i):
     active = np.ones(g.n, bool)
     active[::10] = False
     n_sets = 4000
-    kernel = sample_pool(None, g, active, eta_i, model, n_sets, 21, roots=roots)
+    ours = sample_pool(None, g, active, eta_i, model, n_sets, 21, roots=roots)
     ref = _reference_pool(g, active, eta_i, model, roots, n_sets, 22)
-    p_k, p_r = (np.bincount(m, minlength=g.n) / n_sets for _, m in (kernel, ref))
+    p_k, p_r = (np.bincount(m, minlength=g.n) / n_sets for _, m in (ours, ref))
     p_bar = (p_k + p_r) / 2
     tol = Z * np.sqrt(2 * p_bar * (1 - p_bar) / n_sets) + 1 / n_sets
     assert (np.abs(p_k - p_r) <= tol).all(), np.max(np.abs(p_k - p_r) - tol)
-    size_k, size_r = np.diff(kernel[0]), np.diff(ref[0])
+    size_k, size_r = np.diff(ours[0]), np.diff(ref[0])
     se = np.sqrt((size_k.var(ddof=1) + size_r.var(ddof=1)) / n_sets)
     assert abs(size_k.mean() - size_r.mean()) <= Z * se
 
@@ -176,99 +189,135 @@ def test_batch_equals_its_blocks_alone(small_cl_graph, model, n_active):
         np.testing.assert_array_equal(members, np.concatenate([m for _, m in alone]))
 
 
-class _Bitgen(ctypes.Structure):
-    """numpy's ``bitgen_t`` (``numpy/random/bitgen.h``)."""
+# Seeds whose entropy and spawn keys exercise numpy's coercion: zero, a
+# large one-word value, a two-word value, a nested path, fresh OS entropy
+# (128 bits) and a tuple whose middle value spans two words.
+ORACLE_SEEDS = {
+    "0": 0,
+    "2^31-1": 2**31 - 1,
+    "2^40+7": 2**40 + 7,
+    "nested": substream(substream(3, 5), 2),
+    "os-entropy": np.random.SeedSequence(None),
+    "tuple": np.random.SeedSequence((1, 2**33 + 5, 0)),
+}
+ORACLE_BLOCKS = [0, 1, 255, 2**20]
 
-    _fields_ = [(name, ctypes.c_void_p) for name in
-                ("state", "next_uint64", "next_uint32", "next_double", "next_raw")]
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
+def test_kernel_stream_is_numpys(seed):
+    """The kernel's own SeedSequence and PCG64 give block j the stream of
+    ``default_rng(substream(seed, j))``. On a graph without edges, with
+    10% of the nodes inactive, an RR set is its one root, drawn by
+    ``integers``, and an mRR set's size is its root count, drawn by
+    ``random``; both are read off whole blocks exactly."""
+    n = 39
+    g = GraphCSR.from_edges(pd.DataFrame({"src": [], "dst": []}), n=n)
+    active = np.ones(n, bool)
+    active[::10] = False
+    active_idx = np.flatnonzero(active)
+    n_i, eta_i = len(active_idx), 4
+    n_sets = (ORACLE_BLOCKS[-1] + 1) * BLOCK
+    draw = partial(mrr._sample_blocks, g.payload(), active, eta_i, IC, n_sets=n_sets, seed=seed,
+                   js=ORACLE_BLOCKS)
+    _, rr_roots = draw(roots="rr")
+    mrr_sizes, _ = draw(roots="mrr")
+    for b, j in enumerate(ORACLE_BLOCKS):
+        ours = slice(b * BLOCK, (b + 1) * BLOCK)
+        rng = np.random.default_rng(substream(seed, j))
+        np.testing.assert_array_equal(rr_roots[ours], active_idx[rng.integers(0, n_i, BLOCK)])
+        rng = np.random.default_rng(substream(seed, j))
+        np.testing.assert_array_equal(mrr_sizes[ours], sample_root_size(n_i, eta_i, rng, BLOCK))
+
+
+def test_kernel_rejects_streams_it_cannot_derive(small_cl_graph):
+    """A block id of 2^32 or more (two spawn-key words in numpy) and a
+    SeedSequence pool of other than 4 words raise ``ValueError``."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    with pytest.raises(ValueError, match="uint32"):
+        mrr._sample_blocks(g.payload(), active, 1, IC, "rr", (2**32 + 1) * BLOCK, 3, [2**32])
+    with pytest.raises(ValueError, match="pool"):
+        kernel.sample_blocks(np.random.SeedSequence(3, pool_size=8), [0], [1], BLOCK,
+                             g.payload(), False, active, None)
+
+
+@pytest.mark.parametrize("model", [IC, LT])
+def test_a_set_draws_only_its_own_uniforms(small_cl_graph, model):
+    """A block draws its sets one after another and stops after the last
+    set the pool keeps, so one RR set draws fewer 64-bit generator words
+    than ``BLOCK`` sets at the same seed, whose first set it is."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    words = [
+        kernel.sample_blocks(substream(3), [0], [n_sets], BLOCK, g.payload(), model == LT,
+                             active, None)[2]
+        for n_sets in (1, BLOCK)
+    ]
+    assert 0 < words[0] < words[1]
 
 
 class _LowUniforms:
     """A generator whose uniforms all read 1e-12, below the 5e-10 excess
-    weight, with real integer draws. Realizations call its ``random``;
-    the block kernel draws through its ``bitgen_t``, which has a real
-    PCG64's integer functions and calls ``next_double`` for a uniform."""
+    weight; realizations call its ``random``."""
 
     def __init__(self, seed):
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-        real = self._rng.bit_generator.ctypes
-        self._real_double = real.next_double
-        self._double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(self.next_double)
-        address = partial(ctypes.cast, typ=ctypes.c_void_p)
-        self._bitgen = _Bitgen(
-            real.state,
-            address(real.next_uint64).value,
-            address(real.next_uint32).value,
-            address(self._double).value,
-            address(real.next_uint64).value,
-        )
-        bitgen = address(ctypes.pointer(self._bitgen))
-        self.bit_generator = SimpleNamespace(ctypes=SimpleNamespace(bit_generator=bitgen))
-
-    def next_double(self, state):
-        return 1e-12
+        pass
 
     def random(self, size=None):
         return np.full(size, 1e-12)
 
 
-class _CountedUniforms(_LowUniforms):
-    """A generator whose ``bitgen_t`` is a real PCG64's and counts its
-    ``next_double`` calls."""
-
-    calls = 0
-
-    def next_double(self, state):
-        self.calls += 1
-        return self._real_double(state)
-
-
-@pytest.mark.parametrize("model", [IC, LT])
-def test_a_set_draws_only_its_own_uniforms(small_cl_graph, monkeypatch, model):
-    """A block draws its sets one after another and stops after the last
-    set the pool keeps, so a pool of one RR set draws fewer uniforms than
-    a pool of ``BLOCK`` sets at the same seed, whose first set it is."""
-    gens = []
-
-    def counted(seed):
-        gens.append(_CountedUniforms(seed))
-        return gens[-1]
-
-    monkeypatch.setattr(np.random, "default_rng", counted)
-    g = small_cl_graph
-    active = np.ones(g.n, bool)
-    calls = []
-    for n_sets in (1, BLOCK):
-        gens.clear()
-        sample_pool(None, g, active, 1, model, n_sets, 3, roots="rr")
-        calls.append(sum(gen.calls for gen in gens))
-    assert calls[0] < calls[1]
+def _picks_in_own_slots(g: GraphCSR, indptr, members) -> list[np.ndarray]:
+    """The RR sets of ``(indptr, members)``, after asserting that every
+    non-root member is an in-neighbour of its set's root (the sources
+    have no in-edges, so a set is its root and that root's one pick)."""
+    sets = np.split(members, indptr[1:-1])
+    for s in sets:
+        assert set(s[1:].tolist()) <= set(g.in_neighbors(s[0]).tolist())
+    return sets
 
 
 @pytest.mark.parametrize("draws", ["low", "random"])
 def test_lt_pick_stays_in_own_slots(monkeypatch, draws):
-    """Node 1's in-weights sum to 1 + 5e-10 and it follows the full-weight
-    node 0; node 2, full-weight, follows it. Every LT pick is an
-    in-neighbour of the node that picked it, also for uniforms below the
-    excess, where a search over all nodes' running sums can land in the
+    """Every LT pick is an in-neighbour of the node that picked it, also
+    for uniforms below the excess of the previous node's in-weight sum
+    over 1, where a search over all nodes' running sums can land in the
     previous node's last slot. The reverse RR BFS and the forward
-    realization share the rule; each in-weight sum is at least 1, so
-    every realization keeps exactly one in-edge of nodes 0, 1 and 2."""
+    realization share the rule.
+
+    Realizations: node 1's in-weights sum to 1 + 5e-10 and it follows the
+    full-weight node 0; node 2, full-weight, follows it. Each sum is at
+    least 1, so every realization keeps exactly one in-edge of nodes 0, 1
+    and 2; with ``low`` draws every node keeps its first.
+
+    Kernel: the kernel draws from its own stream, so ``random`` samples
+    that graph, while ``low`` samples a hand-built payload in which node
+    1's in-weights sum to 1.3 (0.3 + 1.0), calling ``mrr._sample_blocks``
+    directly because ``sample_pool``'s ``check_lt`` rejects such weights.
+    Node 2 (0.3 + 0.7) follows it and keeps its first in-edge exactly
+    when its draw falls below 0.3, the excess, which real draws then do
+    about 30% of the time; such draws must have occurred."""
     edges = pd.DataFrame({"src": [3, 4, 5, 6], "dst": [0, 1, 1, 2]})
     g = GraphCSR.from_edges(edges, n=7, probs=np.array([1.0, 0.5, 0.5 + 5e-10, 1.0]))
     if draws == "low":
+        heavy = GraphCSR.from_edges(
+            pd.DataFrame({"src": [3, 4, 5, 6, 7], "dst": [0, 1, 1, 2, 2]}),
+            n=8, probs=np.array([1.0, 0.3, 1.0, 0.3, 0.7]),
+        )
+        active = np.ones(heavy.n, bool)
+        sizes, members = mrr._sample_blocks(heavy.payload(), active, 1, LT, "rr", 2000, 3, range(8))
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        sets = _picks_in_own_slots(heavy, indptr, members)
+        assert (2, 6) in {tuple(s.tolist()) for s in sets}
         monkeypatch.setattr(np.random, "default_rng", _LowUniforms)
-    active = np.ones(g.n, bool)
-    indptr, members = sample_pool(None, g, active, 1, LT, 2000, 3, roots="rr")
-    sets = np.split(members, indptr[1:-1])
-    for s in sets:  # roots first; nodes 3..6 have no in-edges, so root = s[0]
-        assert set(s[1:].tolist()) <= set(g.in_neighbors(s[0]).tolist())
+    else:
+        active = np.ones(g.n, bool)
+        _picks_in_own_slots(g, *sample_pool(None, g, active, 1, LT, 2000, 3, roots="rr"))
     reals = [sample_realization(g, LT, seed) for seed in range(200)]
     for real in reals:
         assert sorted(g.fwd_indices[real.live_fwd].tolist()) == [0, 1, 2]
     live = {tuple(e) for real in reals for e in real.live_edges_pdf().to_numpy().tolist()}
     if draws == "low":  # r below every running sum picks each node's first in-edge
-        assert {tuple(s.tolist()) for s in sets} >= {(0, 3), (1, 4), (2, 6)}
         assert live == {(3, 0), (4, 1), (6, 2)}
     else:
         assert live == {(3, 0), (4, 1), (5, 1), (6, 2)}
