@@ -9,12 +9,11 @@ from repro.experiments.tables import runs, save_table
 N_REALIZATIONS = 10
 
 
-def test_fig8(benchmark, spark):
+def test_fig8(benchmark):
     result = {}
 
     def run():
         result["pdf"] = runs(
-            spark,
             datasets=["nethept_lite"],
             models=("IC", "LT"),
             algos=("asti", "ateuc"),

@@ -13,19 +13,17 @@ N_REALIZATIONS = 2
 MAIN_ALGOS = ("asti", "asti-2", "asti-4", "asti-8", "ateuc")
 
 
-def test_fig45_sweep_ic(benchmark, spark):
+def test_fig45_sweep_ic(benchmark):
     result = {}
 
     def run():
         main = runs(
-            spark,
             datasets=["nethept_lite", "epinions_lite"],
             models=("IC",),
             algos=MAIN_ALGOS,
             n_realizations=N_REALIZATIONS,
         )
         adapt = runs(
-            spark,
             datasets=["nethept_lite"],
             models=("IC",),
             algos=("adaptim",),
@@ -43,13 +41,12 @@ def test_fig45_sweep_ic(benchmark, spark):
     assert adaptive["meets_all"].all(), "adaptive algorithms always reach η"
 
 
-def test_fig67_sweep_lt(benchmark, spark):
+def test_fig67_sweep_lt(benchmark):
     result = {}
 
     def run():
         result["pdf"] = sweep(
             runs(
-                spark,
                 datasets=["nethept_lite"],
                 models=("LT",),
                 algos=MAIN_ALGOS,

@@ -8,12 +8,11 @@ N_REALIZATIONS = 3
 
 
 @pytest.mark.parametrize("model", ["IC", "LT"])
-def test_table3(benchmark, spark, model):
+def test_table3(benchmark, model):
     result = {}
 
     def run():
         result["runs"] = runs(
-            spark,
             datasets=list(DATASETS),
             models=(model,),
             algos=("asti", "ateuc"),

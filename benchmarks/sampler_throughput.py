@@ -1,11 +1,13 @@
-"""Sampler throughput: sets per second of ``sample_pool(None, ...)``.
+"""Sampler throughput: sets per second of ``sample_pool(...)``.
 
 Usage, from the root of a checkout:
 
     python3 benchmarks/sampler_throughput.py --label change --out BENCH_sampler.json
 
-Times the driver-local venue only, so the script runs unchanged on any
-commit that has ``repro.sampling.mrr.sample_pool``. Each of the 12 cells
+Calls ``repro.sampling.mrr.sample_pool`` with the graph first. On
+commits where ``sample_pool`` still took a leading ``spark`` argument
+(``None`` for the driver) this script does not run; time such a commit
+with its own copy of the script. Each of the 12 cells
 (nethept_lite and livejournal_lite; IC and LT; mRR at η = 0.2n and
 η = 0.02n, and RR) draws 8192 sets with every tenth node inactive, at a
 fixed seed, ``RUNS`` times after one untimed warm-up call. The median
@@ -79,11 +81,11 @@ def measure() -> list[dict]:
         for model in MODELS:
             for roots, eta_frac in MODES:
                 eta_i = max(1, int(eta_frac * g.n)) if eta_frac else 1
-                sample_pool(None, g, active, eta_i, model, 256, SEED, roots=roots)
+                sample_pool(g, active, eta_i, model, 256, SEED, roots=roots)
                 times = []
                 for _ in range(RUNS):
                     t0 = time.perf_counter()
-                    indptr, _ = sample_pool(None, g, active, eta_i, model, N_SETS, SEED, roots=roots)
+                    indptr, _ = sample_pool(g, active, eta_i, model, N_SETS, SEED, roots=roots)
                     times.append(time.perf_counter() - t0)
                 med = statistics.median(times)
                 q1, _, q3 = statistics.quantiles(times, n=4)

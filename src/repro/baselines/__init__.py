@@ -7,8 +7,10 @@
   minimization: the ASTI loop but greedily maximizing *untruncated*
   marginal spread with single-root RR sets.
 
-Both sample through ``repro.sampling.mrr.sample_pool`` and select through
-``repro.core.trim``: ADAPTIM calls ``trim(roots="rr")`` (δ = 1/max(2,
-n_i)); ATEUC grows an RR pool with ``doubling_pools``, the doubling rule
-TRIM uses, and runs ``greedy_max_coverage`` to exhaustion.
+Both sample on the driver through ``repro.sampling.mrr.sample_pool``
+and select through ``repro.core.trim``: ADAPTIM calls
+``trim(roots="rr")`` (δ = 1/max(2, n_i)); ATEUC grows an RR pool with
+``doubling_pools``, the doubling rule TRIM uses, and runs
+``greedy_max_coverage`` to exhaustion. Each keeps a
+``spark`` first parameter, unused, as ``asti`` does.
 """

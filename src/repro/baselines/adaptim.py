@@ -18,9 +18,9 @@ from repro.graphs.csr import GraphCSR
 from repro.sampling.mrr import Seed
 
 
-def _adaptim_selector(spark, g, active, eta_i, model, eps, seed):
+def _adaptim_selector(g, active, eta_i, model, eps, seed):
     """Per-round untruncated greedy: ``trim`` over single-root RR sets."""
-    res = trim(spark, g, active, eta_i, model, eps, seed, roots="rr")
+    res = trim(g, active, eta_i, model, eps, seed, roots="rr")
     return res.nodes, res.n_sets
 
 
@@ -35,7 +35,8 @@ def adaptim(
     seed: Seed = 0,
     realization=None,
 ) -> AstiResult:
-    """Run the ADAPTIM policy until η nodes are activated."""
+    """Run the ADAPTIM policy until η nodes are activated. ``spark`` is
+    unused (the driver draws every set); callers pass it positionally."""
     return asti(
         spark,
         g,

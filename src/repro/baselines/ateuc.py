@@ -57,14 +57,15 @@ def ateuc(
     *,
     seed: Seed = 0,
 ) -> AteucResult:
-    """Select a non-adaptive seed set with estimated E[I(S)] ≥ η."""
+    """Select a non-adaptive seed set with estimated E[I(S)] ≥ η. ``spark``
+    is unused (the driver draws every set); callers pass it positionally."""
     if not 1 <= eta <= g.n:
         raise ValueError(f"eta must be in [1, n]; got {eta} with n={g.n}")
     n = g.n
     active = np.ones(n, dtype=bool)
     # Failure budget ~1/(2n) per bound application, as in RIS practice.
     a = math.log(2.0 * n)
-    pools = doubling_pools(spark, g, active, 1, model, THETA0, seed, roots="rr")
+    pools = doubling_pools(g, active, 1, model, THETA0, seed, roots="rr")
     for t, (n_sets, pool) in zip(range(1, MAX_DOUBLINGS + 1), pools):
         picks, curve = greedy_max_coverage(*pool, n, n)
         su = sl = None

@@ -20,8 +20,8 @@ from repro.graphs.csr import GraphCSR
 from repro.core.trim import trim
 from repro.sampling.mrr import Seed, substream
 
-# A selector maps (spark, g, active, eta_i, model, eps, seed) to the
-# chosen batch plus the number of sample sets it generated.
+# A selector maps (g, active, eta_i, model, eps, seed) to the chosen
+# batch plus the number of sample sets it generated.
 Selector = Callable[..., tuple[list[int], int]]
 
 
@@ -56,8 +56,8 @@ class AstiResult:
 
 
 def _default_selector(b: int) -> Selector:
-    def select(spark, g, active, eta_i, model, eps, seed):
-        res = trim(spark, g, active, eta_i, model, eps, seed, b=b)
+    def select(g, active, eta_i, model, eps, seed):
+        res = trim(g, active, eta_i, model, eps, seed, b=b)
         return res.nodes, res.n_sets
 
     return select
@@ -80,7 +80,8 @@ def asti(
 
     The ground truth φ is sampled from ``realization_seed`` (or passed
     in) and is *only* consulted by the observation step — the selector
-    never sees it, exactly the paper's adaptive protocol.
+    never sees it, exactly the paper's adaptive protocol. ``spark`` is
+    unused (the driver draws every set); callers pass it positionally.
     """
     if not 1 <= eta <= g.n:
         raise ValueError(f"eta must be in [1, n]; got {eta} with n={g.n}")
@@ -98,7 +99,7 @@ def asti(
         t0 = time.perf_counter()
         eta_i = eta - activated
         n_i = int(active.sum())
-        batch, n_sets = select(spark, g, active, eta_i, model, eps, substream(seed, i))
+        batch, n_sets = select(g, active, eta_i, model, eps, substream(seed, i))
         # Observe: actual influence of the batch among inactive nodes,
         # equivalent to full-graph live-edge reachability (tested).
         reached = spread_local(real, batch, active)

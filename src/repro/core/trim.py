@@ -8,10 +8,10 @@ stopping rule. That is TRIM-B (Algorithm 3), approximation
 ln C(n,1) = ln n) and greedy to argmax, which is TRIM (Algorithm 2).
 
 Every selector samples through ``repro.sampling.mrr.sample_pool`` (the
-one sampler entry point and venue switch, returning the sets as a CSR
-pool ``(indptr, members)``), grows its pool by ``doubling_pools`` there
-when it doubles, and selects through ``greedy_max_coverage`` here, the
-one greedy over such a pool.
+one sampler entry point, which draws on the driver and returns the sets
+as a CSR pool ``(indptr, members)``), grows its pool by
+``doubling_pools`` there when it doubles, and selects through
+``greedy_max_coverage`` here, the one greedy over such a pool.
 
 ADAPTIM's per-round selection is ``trim(roots="rr")``: single-root RR
 sets and δ = 1/max(2, n_i); ATEUC runs the greedy to exhaustion over an
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.graphs.csr import GraphCSR, row_slots
 from repro.sampling.bounds import coverage_lower_bound, coverage_upper_bound
@@ -142,7 +141,6 @@ class TrimResult:
 
 
 def trim(
-    spark: SparkSession | None,
     g: GraphCSR,
     active: np.ndarray,
     eta_i: int,
@@ -168,7 +166,7 @@ def trim(
     b = min(b, n_i)
     sched = TrimSchedule.build(n_i, eta_i, eps, b=b, roots=roots)
     rb = rho(b)
-    pools = doubling_pools(spark, g, active, eta_i, model, sched.theta_o, seed, roots=roots)
+    pools = doubling_pools(g, active, eta_i, model, sched.theta_o, seed, roots=roots)
     for t, (n_sets, pool) in enumerate(pools, start=1):
         nodes, curve = greedy_max_coverage(*pool, g.n, b)
         lam = curve[-1] if curve else 0

@@ -12,8 +12,6 @@ import zlib
 from dataclasses import dataclass
 from functools import partial
 
-from pyspark.sql import SparkSession
-
 from repro.baselines.adaptim import adaptim
 from repro.baselines.ateuc import ateuc
 from repro.core.asti import asti
@@ -48,7 +46,6 @@ class RunRecord:
 
 
 def run_cell(
-    spark: SparkSession | None,
     dataset: str,
     model: str,
     algo: str,
@@ -89,7 +86,7 @@ def run_cell(
 
     if algo == "ateuc":
         t0 = time.perf_counter()
-        sel = ateuc(spark, g, eta, model, seed=substream(0, eta))
+        sel = ateuc(None, g, eta, model, seed=substream(0, eta))
         select_time = time.perf_counter() - t0
         return [
             record(r, sel.n_seeds, len(spread_local(real, sel.seeds)), select_time)
@@ -100,7 +97,7 @@ def run_cell(
     records = []
     for r, real in enumerate(reals):
         t0 = time.perf_counter()
-        res = policy(spark, g, eta, model, 0, seed=substream(0, r), realization=real)
+        res = policy(None, g, eta, model, 0, seed=substream(0, r), realization=real)
         records.append(record(r, res.n_seeds, res.spread, time.perf_counter() - t0))
     return records
 

@@ -47,7 +47,6 @@ def table2(spark: SparkSession, datasets: list[str] | None = None) -> pd.DataFra
 
 
 def runs(
-    spark: SparkSession | None,
     *,
     datasets: list[str],
     models: tuple[str, ...],
@@ -68,7 +67,7 @@ def runs(
             for frac in fracs or eta_fracs(name):
                 for algo in algos:
                     records += run_cell(
-                        spark, name, model, algo, frac,
+                        name, model, algo, frac,
                         n_realizations=n_realizations, g=graphs[name],
                     )
     return pd.DataFrame([asdict(r) for r in records])

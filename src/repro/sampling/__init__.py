@@ -7,6 +7,6 @@ binary estimator ``Γ̃(S) = η·1[S ∩ R ≠ ∅]`` the Theorem 3.3 sandwich
 ``(1−1/e)·E[Γ(S)] ≤ E[Γ̃(S)] ≤ E[Γ(S)]``. Single-root RR sets (Borgs et
 al.) for the ATEUC/ADAPTIM baselines are the ``roots="rr"`` mode of the
 same sampler. ``repro.sampling.mrr.sample_pool`` is the one sampler entry
-point: it checks its inputs, chooses the local or Spark venue and returns
-the sets as one CSR pool ``(indptr, members)``.
+point: it checks its inputs, draws the sets on the driver and returns
+them as one CSR pool ``(indptr, members)``.
 """

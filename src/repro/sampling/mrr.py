@@ -1,4 +1,4 @@
-"""Multi-root reverse reachable (mRR) set generation — distributed.
+"""Multi-root reverse reachable (mRR) set generation.
 
 A random mRR set of the residual graph ``G_i`` is produced by (paper
 §3.3): (1) draw the root-set size ``k`` via randomized rounding so that
@@ -14,25 +14,24 @@ Single-root RR sets (Borgs et al.) for the baselines are the
 ``roots="rr"`` mode of the same machinery: ``k = 1``, which gives the
 unbiased *untruncated* estimator ``E[I(S)] = n · Pr[R ∩ S ≠ ∅]``.
 
-``sample_pool``, the one sampler entry point, checks its inputs on the
-driver, chooses the venue from the members of the call's first block,
-drawn first on the driver, and returns one CSR pool ``(indptr,
-members)``. A call may start at a later block of its stream:
-``doubling_pools``, the doubling rule of TRIM and ATEUC, reads one
-stream per round and draws each block of it once. Sets are drawn in
-blocks of ``BLOCK`` ids, each a CSR ``(sizes, members)`` drawn by the
-compiled kernel (``kernel.py``, ``block_kernel.c``) from the generator
-of the stream ``substream(seed, j)`` alone, which the kernel seeds
-itself: its root counts, then, one set after another, each set's roots
-and reverse BFS. Set
-``i`` is the same whether the driver or a Spark task
-(``sample_sets_pairs``, one ``mapInPandas`` row per block over a
-broadcast reverse CSR) draws it. ``substream`` is the one
+``sample_pool``, the one sampler entry point, checks its inputs and
+draws the call's blocks on the driver in one kernel call, returning one
+CSR pool ``(indptr, members)``. On one host the driver is the venue: in
+``BENCH_venue.json`` it beat collecting the same sets from Spark in
+every cell measured, past 24M members. A call may start at a later
+block of its stream: ``doubling_pools``, the doubling rule of TRIM and
+ATEUC, reads one stream per round and draws each block of it once. Sets
+are drawn in blocks of ``BLOCK`` ids, each a CSR ``(sizes, members)``
+drawn by the compiled kernel (``kernel.py``, ``block_kernel.c``) from
+the generator of the stream ``substream(seed, j)`` alone, which the
+kernel seeds itself: its root counts, then, one set after another, each
+set's roots and reverse BFS. ``sample_sets_pairs`` draws the same sets
+on Spark executors (one ``mapInPandas`` row per block over a broadcast
+reverse CSR), as membership rows. ``substream`` is the one
 seed-derivation rule: every caller appends its own key to the path, so
 an ASTI set comes from (run, round, block) and an ATEUC set from (run,
 block); a round's doubling iterations read prefixes of one stream.
 """
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -51,17 +50,6 @@ PAIRS_SCHEMA = StructType(
 # Sets are sampled in blocks of this many ids; block j is seeded by
 # (seed, j) alone, so the sets never depend on the venue or partitioning.
 BLOCK = 256
-
-# Below this many estimated members per call, executor fan-out costs
-# more than it saves. BENCH_venue.json (benchmarks/venue_crossover.py;
-# 4 cores, warm local[4], IC, RR and mRR, 4,096–65,536 lite sets, up to
-# 3.2M members) fits local ≈ 0.13 µs/member (no fixed cost) and Spark ≈
-# 0.55 s + 0.08 µs/member: the lines meet near 11.0M members, rounded
-# here to 11M. That lies beyond the largest call measured, which the
-# driver won, as it won every cell; on calls above 1M members its cost
-# ranges from 0.07 (nethept_lite) to 0.20 µs/member (livejournal_lite).
-# Only the execution venue changes, never the sets.
-SPARK_MIN_MEMBERS = 11_000_000
 
 Pool = tuple[np.ndarray, np.ndarray]
 EMPTY_POOL: Pool = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -123,7 +111,6 @@ def _check_inputs(g: GraphCSR, active: np.ndarray, model: str, roots: str) -> No
 
 
 def sample_pool(
-    spark: SparkSession | None,
     g: GraphCSR,
     active: np.ndarray,
     eta_i: int,
@@ -138,42 +125,21 @@ def sample_pool(
     a CSR pool ``(indptr, members)``: ``n_sets`` fresh sets by default.
 
     The pool's set j (set ``first_block·BLOCK + j`` of the stream) has
-    members ``members[indptr[j]:indptr[j + 1]]``. The driver always
-    draws block ``first_block`` first; the call's members are estimated
-    as that block's members times the count of blocks drawn. Without
-    Spark (``spark=None``), or below ``SPARK_MIN_MEMBERS``, the driver
-    draws the other blocks too, in one kernel call, and concatenates
-    them. Otherwise Spark executors sample every block, the first one's
-    again, and the membership rows are collected and stably sorted by set
-    id. The pool depends only on the arguments, not on the venue.
-    Bad input raises ``ValueError`` before any set is drawn.
+    members ``members[indptr[j]:indptr[j + 1]]``. The driver draws every
+    block of the call in one kernel call. Bad input raises
+    ``ValueError`` before any set is drawn.
     """
     _check_inputs(g, active, model, roots)
     n_blocks = -(-n_sets // BLOCK)
-    draw = partial(_sample_blocks, g.payload(), active, eta_i, model, roots, n_sets, seed)
-    blocks = [draw([first_block])]
-    n_pool = n_sets - first_block * BLOCK
-    estimate = int(blocks[0][0].sum()) * (n_blocks - first_block)
-    if spark is None or estimate < SPARK_MIN_MEMBERS:
-        if n_blocks > first_block + 1:
-            blocks.append(draw(range(first_block + 1, n_blocks)))
-        sizes = np.concatenate([s for s, _ in blocks])
-        members = np.concatenate([m for _, m in blocks])
-    else:
-        pairs = sample_sets_pairs(
-            spark, g, active, eta_i, model, n_sets, seed, roots=roots, first_block=first_block
-        ).toPandas()
-        set_ids = pairs["set_id"].to_numpy(np.int64) - first_block * BLOCK
-        order = np.argsort(set_ids, kind="stable")
-        members = pairs["node"].to_numpy(np.int64)[order]
-        sizes = np.bincount(set_ids, minlength=n_pool)
-    indptr = np.zeros(n_pool + 1, dtype=np.int64)
+    sizes, members = _sample_blocks(
+        g.payload(), active, eta_i, model, roots, n_sets, seed, range(first_block, n_blocks)
+    )
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return indptr, members
 
 
 def doubling_pools(
-    spark: SparkSession | None,
     g: GraphCSR,
     active: np.ndarray,
     eta_i: int,
@@ -200,8 +166,7 @@ def doubling_pools(
         n_blocks = -(-theta // BLOCK)
         if n_blocks > held:
             more_indptr, more = sample_pool(
-                spark, g, active, eta_i, model, n_blocks * BLOCK, seed,
-                roots=roots, first_block=held,
+                g, active, eta_i, model, n_blocks * BLOCK, seed, roots=roots, first_block=held
             )
             indptr = np.concatenate([indptr, more_indptr[1:] + indptr[-1]])
             members = np.concatenate([members, more])
@@ -221,15 +186,18 @@ def sample_sets_pairs(
     roots: str = "mrr",
     first_block: int = 0,
 ) -> DataFrame:
-    """The Spark venue: DataFrame of (set_id, node) membership rows.
+    """The sets of ``sample_pool`` drawn on Spark: a DataFrame of
+    (set_id, node) membership rows.
 
     One task row per block ``first_block … ⌈n_sets/BLOCK⌉ − 1``, in
     contiguous ranges over at most ``2·defaultParallelism`` partitions;
     each task draws its blocks with one kernel call over the broadcast CSR
-    payload, as ``sample_pool`` does, and explodes the CSR into rows. Set
-    ids are ``first_block·BLOCK … n_sets − 1`` and every set equals the
-    local venue's at the same seed, whatever the partitioning. Inputs are
-    checked on the driver, as in ``sample_pool``.
+    payload and explodes the CSR into rows. Set ids are
+    ``first_block·BLOCK … n_sets − 1``, collected in non-decreasing order,
+    and every set equals ``sample_pool``'s at the same seed, whatever the
+    partitioning. Inputs are checked on the driver, as in ``sample_pool``.
+    No selector reads this venue; ``benchmarks/venue_crossover.py`` times
+    it against ``sample_pool``.
     """
     _check_inputs(g, active, model, roots)
     n_blocks = -(-n_sets // BLOCK)

@@ -95,7 +95,7 @@ def test_custom_selector_hook(small_cl_graph):
     g = small_cl_graph
     calls = []
 
-    def worst_selector(spark, g_, active, eta_i, model, eps, seed):
+    def worst_selector(g_, active, eta_i, model, eps, seed):
         v = int(np.nonzero(active)[0][0])
         calls.append(v)
         return [v], 0

@@ -28,7 +28,7 @@ def _realizations(g):
 def _forced_selector(order):
     state = {"i": 0}
 
-    def select(spark, g, active, eta_i, model, eps, seed):
+    def select(g, active, eta_i, model, eps, seed):
         while True:
             v = order[state["i"]]
             state["i"] += 1

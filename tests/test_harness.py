@@ -34,13 +34,13 @@ def test_eta_fracs_grids():
 
 def test_unknown_algo_rejected(g_small):
     with pytest.raises(ValueError):
-        run_cell(None, "x", "IC", "magic", 0.1, g=g_small)
+        run_cell("x", "IC", "magic", 0.1, g=g_small)
 
 
 @pytest.mark.parametrize("algo", ["asti", "asti-2"])
 def test_adaptive_cell_records(g_small, algo):
     recs = run_cell(
-        None, "tiny", "IC", algo, 0.1, n_realizations=2, g=g_small
+        "tiny", "IC", algo, 0.1, n_realizations=2, g=g_small
     )
     assert len(recs) == 2
     for i, r in enumerate(recs):
@@ -53,7 +53,7 @@ def test_adaptive_cell_records(g_small, algo):
 
 def test_ateuc_cell_selects_once(g_small):
     recs = run_cell(
-        None, "tiny", "IC", "ateuc", 0.1, n_realizations=3, g=g_small
+        "tiny", "IC", "ateuc", 0.1, n_realizations=3, g=g_small
     )
     assert len(recs) == 3
     # One non-adaptive selection: same seed count and selection time.
@@ -66,7 +66,7 @@ def test_ateuc_cell_selects_once(g_small):
 
 def test_adaptive_meets_threshold_always(g_small):
     recs = run_cell(
-        None, "tiny", "LT", "asti", 0.15, n_realizations=2, g=g_small
+        "tiny", "LT", "asti", 0.15, n_realizations=2, g=g_small
     )
     assert all(r.meets_threshold for r in recs)
 
@@ -76,7 +76,7 @@ def test_algos_registry():
 
 
 def test_adaptim_cell_runs(g_small):
-    recs = run_cell(None, "tiny", "IC", "adaptim", 0.1, n_realizations=1, g=g_small)
+    recs = run_cell("tiny", "IC", "adaptim", 0.1, n_realizations=1, g=g_small)
     assert recs[0].meets_threshold
 
 
@@ -93,7 +93,7 @@ def test_ateuc_thresholds_read_their_own_streams(g_small, monkeypatch):
 
     monkeypatch.setattr(harness, "ateuc", spy)
     for frac in (0.1, 0.2):
-        run_cell(None, "tiny", "IC", "ateuc", frac, n_realizations=1, g=g_small)
+        run_cell("tiny", "IC", "ateuc", frac, n_realizations=1, g=g_small)
     assert [ss.spawn_key for ss in seeds.values()] == [(15,), (30,)]
     a, b = (ss.generate_state(4) for ss in seeds.values())
     assert not np.array_equal(a, b)

@@ -25,7 +25,7 @@ def _digest() -> str:
     active = np.ones(g.n, bool)
     h = hashlib.sha256()
     for roots, eta in (("mrr", 60), ("rr", 1)):
-        for a in sample_pool(None, g, active, eta, "IC", 600, 4, roots=roots):
+        for a in sample_pool(g, active, eta, "IC", 600, 4, roots=roots):
             h.update(a.tobytes())
     return h.hexdigest()
 

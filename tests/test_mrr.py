@@ -1,7 +1,7 @@
 """mRR-set sampling (paper §3.3): root-size law, Theorem 3.3 sandwich,
-RR-set truncation bias, the CSR pool ``sample_pool`` returns and its
-input checks on either venue, and the distributed pairs path vs its
-oracle. Coverage Λ_R(v) is read off the pool as ``np.bincount(members)``:
+RR-set truncation bias, the CSR pool ``sample_pool`` returns, the input
+checks of it and of the Spark rows ``sample_sets_pairs``, and those rows
+vs the pool and an SQL oracle. Coverage Λ_R(v) is read off the pool as ``np.bincount(members)``:
 a set never holds a node twice.
 
 The block kernel is checked against ``_reference_pool``, a Python BFS
@@ -107,7 +107,7 @@ def test_kernel_matches_reference_sampler(small_cl_graph, model, roots, eta_i):
     active = np.ones(g.n, bool)
     active[::10] = False
     n_sets = 4000
-    ours = sample_pool(None, g, active, eta_i, model, n_sets, 21, roots=roots)
+    ours = sample_pool(g, active, eta_i, model, n_sets, 21, roots=roots)
     ref = _reference_pool(g, active, eta_i, model, roots, n_sets, 22)
     p_k, p_r = (np.bincount(m, minlength=g.n) / n_sets for _, m in (ours, ref))
     p_bar = (p_k + p_r) / 2
@@ -135,7 +135,7 @@ def test_roots_are_uniform_distinct_active(eta_i):
     active = np.ones(n, bool)
     active[::10] = False
     n_i, n_sets = int(active.sum()), 3000
-    indptr, members = sample_pool(None, g, active, eta_i, IC, n_sets, 5, roots="mrr")
+    indptr, members = sample_pool(g, active, eta_i, IC, n_sets, 5, roots="mrr")
     assert active[members].all()
     sizes = np.diff(indptr)
     set_of = np.repeat(np.arange(n_sets), sizes)
@@ -159,7 +159,7 @@ def test_pool_does_not_depend_on_chunk(small_cl_graph, model, roots, eta_i):
     active = np.ones(g.n, bool)
     active[::10] = False
     n_sets = 5 * BLOCK + 40
-    indptr, members = sample_pool(None, g, active, eta_i, model, n_sets, 13, roots=roots)
+    indptr, members = sample_pool(g, active, eta_i, model, n_sets, 13, roots=roots)
     draw = partial(mrr._sample_blocks, g.payload(), active, eta_i, model, roots, n_sets, 13)
     for chunk in (1, 5):
         parts = [draw(range(lo, min(lo + chunk, 6))) for lo in range(0, 6, chunk)]
@@ -312,7 +312,7 @@ def test_lt_pick_stays_in_own_slots(monkeypatch, draws):
         monkeypatch.setattr(np.random, "default_rng", _LowUniforms)
     else:
         active = np.ones(g.n, bool)
-        _picks_in_own_slots(g, *sample_pool(None, g, active, 1, LT, 2000, 3, roots="rr"))
+        _picks_in_own_slots(g, *sample_pool(g, active, 1, LT, 2000, 3, roots="rr"))
     reals = [sample_realization(g, LT, seed) for seed in range(200)]
     for real in reals:
         assert sorted(g.fwd_indices[real.live_fwd].tolist()) == [0, 1, 2]
@@ -349,7 +349,7 @@ def test_members_are_active_and_contain_roots(small_cl_graph):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[:40] = False
-    indptr, members = sample_pool(None, g, active, 20, IC, 50, 3, roots="mrr")
+    indptr, members = sample_pool(g, active, 20, IC, 50, 3, roots="mrr")
     assert (np.diff(indptr) > 0).all()
     assert active[members].all(), "inactive nodes never enter a set"
 
@@ -357,8 +357,8 @@ def test_members_are_active_and_contain_roots(small_cl_graph):
 def test_local_deterministic(small_cl_graph):
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    a = sample_pool(None, g, active, 20, IC, 10, 9, roots="mrr")
-    b = sample_pool(None, g, active, 20, IC, 10, 9, roots="mrr")
+    a = sample_pool(g, active, 20, IC, 10, 9, roots="mrr")
+    b = sample_pool(g, active, 20, IC, 10, 9, roots="mrr")
     for xa, xb in zip(a, b):
         np.testing.assert_array_equal(xa, xb)
 
@@ -368,9 +368,9 @@ def test_sets_do_not_depend_on_the_pool_size(small_cl_graph):
     alone, so a smaller pool is a prefix of a larger one."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    big_indptr, big_members = sample_pool(None, g, active, 20, IC, BLOCK + 40, 9, roots="mrr")
+    big_indptr, big_members = sample_pool(g, active, 20, IC, BLOCK + 40, 9, roots="mrr")
     for n_sets in (7, BLOCK, BLOCK + 1):
-        indptr, members = sample_pool(None, g, active, 20, IC, n_sets, 9, roots="mrr")
+        indptr, members = sample_pool(g, active, 20, IC, n_sets, 9, roots="mrr")
         np.testing.assert_array_equal(indptr, big_indptr[: n_sets + 1])
         np.testing.assert_array_equal(members, big_members[: indptr[-1]])
 
@@ -415,7 +415,7 @@ def test_key_length_matters():
 def test_rr_sets_single_root(small_cl_graph, model):
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    indptr, _ = sample_pool(None, g, active, 1, model, 30, 4, roots="rr")
+    indptr, _ = sample_pool(g, active, 1, model, 30, 4, roots="rr")
     assert len(indptr) == 30 + 1
     assert (np.diff(indptr) >= 1).all()
 
@@ -426,7 +426,7 @@ def test_theorem_3_3_sandwich_ex23(ex23_graph):
     eta = 2
     active = np.ones(g.n, bool)
     n_sets = 20000
-    _, members = sample_pool(None, g, active, eta, IC, n_sets, 5, roots="mrr")
+    _, members = sample_pool(g, active, eta, IC, n_sets, 5, roots="mrr")
     hits = np.bincount(members, minlength=g.n)
     for v in range(4):
         est = eta * hits[v] / n_sets  # E[Γ̃({v})]
@@ -445,7 +445,7 @@ def test_mrr_estimator_exact_values_ex23(ex23_graph):
     g = ex23_graph
     active = np.ones(g.n, bool)
     n_sets = 20000
-    _, members = sample_pool(None, g, active, 2, IC, n_sets, 6, roots="mrr")
+    _, members = sample_pool(g, active, 2, IC, n_sets, 6, roots="mrr")
     est = 2 * np.bincount(members, minlength=g.n) / n_sets
     np.testing.assert_allclose(est, [1.75, 5 / 3, 5 / 3, 1.0], rtol=0.05)
 
@@ -470,9 +470,9 @@ def test_rr_truncation_bias(small_cl_graph):
     active = np.ones(g.n, bool)
     e_i, e_g = _mc_expected(g, [v], IC, eta)
     n_sets = 8000
-    _, rr = sample_pool(None, g, active, 1, IC, n_sets, 7, roots="rr")
+    _, rr = sample_pool(g, active, 1, IC, n_sets, 7, roots="rr")
     rr_est = eta * np.bincount(rr, minlength=g.n)[v] / n_sets
-    _, mrr_members = sample_pool(None, g, active, eta, IC, n_sets, 8, roots="mrr")
+    _, mrr_members = sample_pool(g, active, eta, IC, n_sets, 8, roots="mrr")
     mrr_est = eta * np.bincount(mrr_members, minlength=g.n)[v] / n_sets
     # RR underestimates by roughly η/n (here η/n = 1/30).
     assert rr_est == pytest.approx(eta / g.n * e_i, rel=0.3)
@@ -488,7 +488,7 @@ def test_rr_untruncated_unbiased(small_cl_graph):
     active = np.ones(g.n, bool)
     e_i, _ = _mc_expected(g, [v], IC, eta=g.n)
     n_sets = 8000
-    _, rr = sample_pool(None, g, active, 1, IC, n_sets, 9, roots="rr")
+    _, rr = sample_pool(g, active, 1, IC, n_sets, 9, roots="rr")
     est = g.n * np.bincount(rr, minlength=g.n)[v] / n_sets
     assert est == pytest.approx(e_i, rel=0.15)
 
@@ -507,14 +507,14 @@ def test_spark_pairs_shape(spark, small_cl_graph, model):
     assert not pdf.duplicated(["set_id", "node"]).any()
 
 
-def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph, monkeypatch):
-    """Λ_R(v) from the Spark venue's CSR pool equals the SQL GROUP BY
-    oracle over the same membership rows."""
-    monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", 0)
+def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph):
+    """The Spark venue's membership rows hold the driver pool's set
+    sizes, and the SQL GROUP BY oracle over those rows gives Λ_R(v), the
+    driver pool's ``bincount``."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
     pdf = sample_sets_pairs(spark, g, active, 20, IC, 100, seed=11).toPandas()
-    indptr, members = sample_pool(spark, g, active, 20, IC, 100, 11, roots="mrr")
+    indptr, members = sample_pool(g, active, 20, IC, 100, 11, roots="mrr")
     np.testing.assert_array_equal(
         np.diff(indptr), np.bincount(pdf["set_id"], minlength=100)
     )
@@ -524,32 +524,6 @@ def test_spark_coverage_vs_duckdb_oracle(spark, small_cl_graph, monkeypatch):
     assert_equivalent(
         got, "SELECT node, count(*) AS cov FROM pairs GROUP BY node", pairs=pdf
     )
-
-
-def test_venue_follows_pilot_member_estimate(spark, nethept_graph, monkeypatch):
-    """One of ADAPTIM's RR doublings on nethept_lite (6,272 sets, ~13K
-    members) stays on the driver with a live session. Spark is chosen
-    exactly when block 0's members × the block count reach
-    ``SPARK_MIN_MEMBERS``, and the pool has the same bytes either way."""
-    g, n_sets, seed = nethept_graph, 6272, 3
-    active = np.ones(g.n, bool)
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[5])
-        return sample_sets_pairs(*args, **kwargs)
-
-    monkeypatch.setattr(mrr, "sample_sets_pairs", spy)
-    want = sample_pool(None, g, active, 1, IC, n_sets, seed, roots="rr")
-    estimate = int(want[0][BLOCK]) * -(-n_sets // BLOCK)
-    for threshold, venue in [(None, []), (estimate, [n_sets]), (estimate + 1, [])]:
-        if threshold is not None:
-            monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", threshold)
-        calls.clear()
-        got = sample_pool(spark, g, active, 1, IC, n_sets, seed, roots="rr")
-        assert calls == venue, threshold
-        for x, y in zip(got, want):
-            np.testing.assert_array_equal(x, y)
 
 
 def test_spark_rejects_empty_active(spark, small_cl_graph):
@@ -567,11 +541,11 @@ def test_spark_rejects_empty_active(spark, small_cl_graph):
     ],
 )
 @pytest.mark.parametrize("venue", ["local", "spark"])
-def test_sample_pool_rejects_bad_input(spark, small_cl_graph, monkeypatch, venue, case, match):
-    """Either venue raises ValueError on the driver, before any job: for
-    an unknown roots mode, an all-false active mask, and LT in-weights
-    above 1 even at a node outside ``active``, which no BFS would reach."""
-    monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", 0)
+def test_sample_pool_rejects_bad_input(spark, small_cl_graph, venue, case, match):
+    """``sample_pool`` and the Spark venue ``sample_sets_pairs`` raise
+    ValueError on the driver, before any job: for an unknown roots mode,
+    an all-false active mask, and LT in-weights above 1 even at a node
+    outside ``active``, which no BFS would reach."""
     g, active, model, roots = small_cl_graph, np.ones(small_cl_graph.n, bool), IC, "mrr"
     if case == "roots":
         roots = "xyz"
@@ -583,4 +557,7 @@ def test_sample_pool_rejects_bad_input(spark, small_cl_graph, monkeypatch, venue
         g = GraphCSR.from_edges(edges, n=3, probs=np.array([0.8, 0.8]))
         active, model = np.array([False, True, True]), LT
     with pytest.raises(ValueError, match=match):
-        sample_pool(spark if venue == "spark" else None, g, active, 1, model, 4, 0, roots=roots)
+        if venue == "spark":
+            sample_sets_pairs(spark, g, active, 1, model, 4, 0, roots=roots)
+        else:
+            sample_pool(g, active, 1, model, 4, 0, roots=roots)

@@ -110,7 +110,7 @@ def test_lt_pick_frequencies_match_weights():
     fwd = sum(sample_realization(g, LT, s).is_live(1, 0) for s in range(n_trials))
     assert fwd / n_trials == pytest.approx(0.25, abs=0.04)
     # Only sets rooted at 0 have two members: 0 and its chosen in-neighbour.
-    indptr, members = sample_pool(None, g, np.ones(3, bool), 1, LT, 3 * n_trials, 0, roots="rr")
+    indptr, members = sample_pool(g, np.ones(3, bool), 1, LT, 3 * n_trials, 0, roots="rr")
     sizes = np.diff(indptr)
     rev = members[np.repeat(sizes == 2, sizes)]
     assert (rev == 1).sum() / (sizes == 2).sum() == pytest.approx(0.25, abs=0.04)

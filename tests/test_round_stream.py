@@ -2,10 +2,11 @@
 
 Every doubling iteration t of TRIM (b = 1 and b = 4, mRR and RR sets)
 and of ATEUC hands greedy the first θ_t sets of the round's one stream,
-``sample_pool(…, θ_t, seed)``, on either venue; and a round that stops
-at iteration t has drawn blocks 0 … ⌈θ_t/BLOCK⌉ − 1, each once. The
-kernel's one bitmap per call leaks nothing between its blocks or into
-the next call.
+``sample_pool(…, θ_t, seed)``, which the Spark venue collects too; and
+a round that stops at iteration t has drawn blocks 0 … ⌈θ_t/BLOCK⌉ − 1,
+each once. A ``sample_pool`` call draws all its blocks in one kernel
+call, and the kernel's one bitmap per call leaks nothing between its
+blocks or into the next call.
 """
 import hashlib
 import os
@@ -24,6 +25,7 @@ from repro.core.trim import TrimSchedule, trim
 from repro.diffusion.realization import IC, LT
 from repro.graphs.generator import dataset_csr
 from repro.sampling.mrr import BLOCK, sample_pool
+from tests.pools import spark_pool
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,10 +43,10 @@ ROUNDS = [
 SEED = 5
 
 
-def _run_round(monkeypatch, spark, g, kind, model, eta, b, roots):
+def _run_round(monkeypatch, g, kind, model, eta, b, roots):
     """Run one round with greedy and the kernel spied on: the result,
     the active mask, η_i and θ_o its sampler saw, each pool greedy got,
-    and each run of block ids drawn on the driver."""
+    and each run of block ids drawn."""
     pools, batches = [], []
     module = trim_module if kind == "trim" else ateuc_module
     greedy, kernel = module.greedy_max_coverage, mrr._sample_blocks
@@ -62,12 +64,12 @@ def _run_round(monkeypatch, spark, g, kind, model, eta, b, roots):
     if kind == "trim":
         active = np.ones(g.n, bool)
         active[::10] = False
-        res = trim(spark, g, active, eta, model, 0.5, SEED, b=b, roots=roots)
+        res = trim(g, active, eta, model, 0.5, SEED, b=b, roots=roots)
         theta_o = TrimSchedule.build(int(active.sum()), eta, 0.5, b=b, roots=roots).theta_o
         eta_i = eta
     else:
         active = np.ones(g.n, bool)
-        res = ateuc(spark, g, eta, model, seed=SEED)
+        res = ateuc(None, g, eta, model, seed=SEED)
         theta_o, eta_i = ateuc_module.THETA0, 1
     monkeypatch.setattr(module, "greedy_max_coverage", greedy)
     monkeypatch.setattr(mrr, "_sample_blocks", kernel)
@@ -80,15 +82,13 @@ def test_each_iteration_reads_a_prefix_of_one_stream(small_cl_graph, monkeypatch
     θ_t = θ_o·2^(t−1); the round drew ⌈θ_T/BLOCK⌉ blocks, in order,
     each once, T being the iteration it stopped at."""
     g = small_cl_graph
-    res, (active, eta_i, theta_o), pools, batches = _run_round(
-        monkeypatch, None, g, kind, model, eta, b, roots
-    )
+    res, (active, eta_i, theta_o), pools, batches = _run_round(monkeypatch, g, kind, model, eta, b, roots)
     assert res.iterations >= 3 and len(pools) == res.iterations
     thetas = [len(indptr) - 1 for indptr, _ in pools]
     assert thetas == [theta_o * 2**t for t in range(res.iterations)]
     assert thetas[-1] == res.n_sets
     for theta, (indptr, members) in zip(thetas, pools):
-        want = sample_pool(None, g, active, eta_i, model, theta, SEED, roots=roots)
+        want = sample_pool(g, active, eta_i, model, theta, SEED, roots=roots)
         np.testing.assert_array_equal(indptr, want[0])
         np.testing.assert_array_equal(members, want[1])
     assert [j for js in batches for j in js] == list(range(-(-res.n_sets // BLOCK)))
@@ -96,23 +96,20 @@ def test_each_iteration_reads_a_prefix_of_one_stream(small_cl_graph, monkeypatch
 
 @pytest.mark.parametrize("kind,model,eta,b,roots", ROUNDS[::2])
 def test_spark_rounds_read_the_local_stream(spark, small_cl_graph, monkeypatch, kind, model, eta, b, roots):
-    """With every call on the Spark venue, each iteration's pool is the
-    local venue's prefix too, and the round picks the local seeds."""
-    monkeypatch.setattr(mrr, "SPARK_MIN_MEMBERS", 0)
+    """The Spark venue, asked for the θ_t sets of any iteration of a
+    round, collects the pool greedy got there."""
     g = small_cl_graph
-    res, (active, eta_i, _), pools, _ = _run_round(monkeypatch, spark, g, kind, model, eta, b, roots)
-    local, *_ = _run_round(monkeypatch, None, g, kind, model, eta, b, roots)
+    res, (active, eta_i, _), pools, _ = _run_round(monkeypatch, g, kind, model, eta, b, roots)
     assert len(pools) == res.iterations
     for indptr, members in pools:
-        want = sample_pool(None, g, active, eta_i, model, len(indptr) - 1, SEED, roots=roots)
+        want = spark_pool(spark, g, active, eta_i, model, len(indptr) - 1, SEED, roots=roots)
         np.testing.assert_array_equal(indptr, want[0])
         np.testing.assert_array_equal(members, want[1])
-    assert (res.nodes if kind == "trim" else res.seeds) == (local.nodes if kind == "trim" else local.seeds)
 
 
 # Back-to-back calls: (dataset, model, roots, η/n, n_sets, first_block).
-# Each call's blocks after its first share one kernel call and its
-# bitmap; the last block is partial in two calls.
+# Each call's blocks share one kernel call and its bitmap; the last
+# block is partial in two calls.
 CALLS = [
     ("nethept_lite", IC, "rr", None, 20 * BLOCK + 17, 0),
     ("livejournal_lite", LT, "mrr", 0.02, 3 * BLOCK, 1),
@@ -128,7 +125,7 @@ def _call(dataset, model, roots, eta_frac, n_sets, first_block):
     active = np.ones(g.n, bool)
     active[::10] = False
     eta_i = max(1, int(eta_frac * g.n)) if eta_frac else 1
-    pool = sample_pool(None, g, active, eta_i, model, n_sets, 9, roots=roots, first_block=first_block)
+    pool = sample_pool(g, active, eta_i, model, n_sets, 9, roots=roots, first_block=first_block)
     h = hashlib.sha256()
     for a in pool:
         h.update(np.ascontiguousarray(a).tobytes())
@@ -157,3 +154,25 @@ def test_back_to_back_calls_equal_fresh_processes():
         assert digest == fresh[call], call
         np.testing.assert_array_equal(np.diff(indptr), np.concatenate([s for s, _ in alone]))
         np.testing.assert_array_equal(members, np.concatenate([m for _, m in alone]))
+
+
+@pytest.mark.parametrize("n_sets,first_block", [(5 * BLOCK + 9, 0), (6 * BLOCK, 2)])
+def test_a_call_is_one_kernel_call(small_cl_graph, monkeypatch, n_sets, first_block):
+    """``sample_pool`` draws blocks ``first_block`` … ⌈n_sets/BLOCK⌉ − 1
+    in one kernel call, and its pool is that call's sizes and members."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    calls = []
+    kernel = mrr._sample_blocks
+
+    def spy(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        calls.append((list(args[7]), out))
+        return out
+
+    monkeypatch.setattr(mrr, "_sample_blocks", spy)
+    indptr, members = sample_pool(g, active, 15, IC, n_sets, 3, roots="mrr", first_block=first_block)
+    [(js, (sizes, drawn))] = calls
+    assert js == list(range(first_block, -(-n_sets // BLOCK)))
+    np.testing.assert_array_equal(np.diff(indptr), sizes)
+    np.testing.assert_array_equal(members, drawn)

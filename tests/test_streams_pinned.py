@@ -6,7 +6,7 @@ digest here. A change that alters a stream on purpose recomputes the
 table (``python -m tests.test_streams_pinned``, with ``src`` on
 ``PYTHONPATH``, prints it) and says so.
 
-- pools: ``sample_pool(None, …)`` of 1000 sets with every tenth node
+- pools: ``sample_pool(…)`` of 1000 sets with every tenth node
   inactive, IC/LT × {mRR at η = n/5, mRR at η = n/50, RR} on
   ``nethept_lite`` and ``livejournal_lite``;
 - realizations: ``sample_realization`` masks, IC/LT, seeds 0–2, on both;
@@ -110,7 +110,7 @@ def _compute(kind, dataset, model, key) -> str:
         active = np.ones(g.n, bool)
         active[::10] = False
         eta_i = g.n // div if div else 1
-        return _digest(*sample_pool(None, g, active, eta_i, model, 1000, 7, roots=roots))
+        return _digest(*sample_pool(g, active, eta_i, model, 1000, 7, roots=roots))
     if kind == "realization":
         return _digest(sample_realization(g, model, key).live_fwd)
     algo, s = key.split("-")

@@ -22,7 +22,6 @@ def t2(spark):
 @pytest.fixture(scope="module")
 def mini_runs():
     return runs(
-        None,
         datasets=["nethept_lite"],
         models=("IC",),
         algos=("asti", "ateuc"),
@@ -165,7 +164,6 @@ def test_sweep_aggregates_per_model():
 def test_sweep_mini():
     pdf = sweep(
         runs(
-            None,
             datasets=["nethept_lite"],
             models=("IC",),
             algos=("asti", "asti-4"),

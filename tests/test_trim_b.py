@@ -102,7 +102,7 @@ def test_trim_b_returns_b_active_nodes(small_cl_graph, b, model):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[:30] = False
-    res = trim(None, g, active, 20, model, eps=0.5, seed=1, b=b)
+    res = trim(g, active, 20, model, eps=0.5, seed=1, b=b)
     assert len(res.nodes) == b
     assert len(set(res.nodes)) == b
     assert all(active[v] for v in res.nodes)
@@ -110,13 +110,13 @@ def test_trim_b_returns_b_active_nodes(small_cl_graph, b, model):
 
 def test_trim_b_b1_matches_trim_choice_on_ex23(ex23_graph):
     # Same admissible set as TRIM (see test_trim_guarantee_on_ex23).
-    res = trim(None, ex23_graph, np.ones(4, bool), 2, IC, eps=0.1, seed=2, b=1)
+    res = trim(ex23_graph, np.ones(4, bool), 2, IC, eps=0.1, seed=2, b=1)
     assert res.nodes[0] in (0, 1, 2)
 
 
 def test_trim_b_bookkeeping(small_cl_graph):
     g = small_cl_graph
-    res = trim(None, g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=3, b=4)
+    res = trim(g, np.ones(g.n, bool), 15, IC, eps=0.5, seed=3, b=4)
     assert res.n_sets > 0 and res.iterations >= 1
     assert 0 <= res.coverage <= res.n_sets
     assert res.est_truncated_spread == pytest.approx(15 * res.coverage / res.n_sets)
@@ -126,20 +126,20 @@ def test_trim_b_caps_batch_at_residual_size(small_cl_graph):
     g = small_cl_graph
     active = np.zeros(g.n, bool)
     active[:3] = True
-    res = trim(None, g, active, 3, IC, eps=0.5, seed=4, b=8)
+    res = trim(g, active, 3, IC, eps=0.5, seed=4, b=8)
     assert len(res.nodes) == 3
     assert all(active[v] for v in res.nodes)
 
 
 def test_trim_b_empty_residual_raises(small_cl_graph):
     with pytest.raises(ValueError):
-        trim(None, small_cl_graph, np.zeros(small_cl_graph.n, bool), 5, IC, 0.5, 0, b=2)
+        trim(small_cl_graph, np.zeros(small_cl_graph.n, bool), 5, IC, 0.5, 0, b=2)
 
 
 def test_trim_b_padding_when_coverage_exhausted(line_graph):
     """On a tiny graph where few nodes cover everything, the batch is
     padded with high-out-degree active nodes rather than short-changed."""
     g = line_graph
-    res = trim(None, g, np.ones(g.n, bool), 2, IC, eps=0.5, seed=5, b=4)
+    res = trim(g, np.ones(g.n, bool), 2, IC, eps=0.5, seed=5, b=4)
     assert len(res.nodes) == 4
     assert len(set(res.nodes)) == 4
