@@ -114,11 +114,15 @@ def greedy_max_coverage(
             break
         if covered is None:  # counts are still the initial ones here
             # The set holding each member position, grouped by node (any
-            # order within a node works): a stable sort of the members on
-            # the narrowest dtype holding n is a linear radix sort up to
-            # 16 bits.
+            # order within a node works): numpy's stable sort of uint16
+            # keys is a linear radix sort, so past 16 bits the members
+            # are sorted on their low half, then stably on their high
+            # half (an LSD radix sort; node ids fit 32 bits).
             set_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-            by_node = np.argsort(members.astype(np.min_scalar_type(n)), kind="stable")
+            by_node = np.argsort(members.astype(np.uint16), kind="stable")
+            if n > 1 << 16:
+                high = (members[by_node] >> 16).astype(np.uint16)
+                by_node = by_node[np.argsort(high, kind="stable")]
             node_sets = set_of[by_node]
             node_ptr = np.concatenate([[0], np.cumsum(counts)]).tolist()
             covered = np.zeros(len(indptr) - 1, dtype=bool)

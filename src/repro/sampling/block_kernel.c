@@ -27,9 +27,16 @@
  * at that point of the block's stream, so a set depends only on the
  * block's stream and the sets before it in the block;
  * tests/test_streams_pinned.py pins the sets that this order gives.
+ *
+ * A call may split its blocks into contiguous runs, one per worker
+ * thread, each with its own generator, bitmap and buffers; the runs'
+ * sizes and members are put back in block order, so a call's output is
+ * the same for any worker count.
  */
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #ifndef __SIZEOF_INT128__
 #error "the block kernel's PCG64 needs a C compiler with 128-bit integers (unsigned __int128)"
@@ -227,67 +234,166 @@ static int draw_set(pcg64 *rng, const graph *g, int64_t k, uint64_t *seen, vec *
     return 0;
 }
 
-/* The sets of n_blocks blocks of B sets each: block b draws its first
- * takes[b] sets from the stream of entropy + (js[b],), with root counts
- * from k_low and frac when mrr is set, else one root each. Writes each
- * set's size to sizes (in set order), the count of 64-bit words drawn to
- * *words, and sets *members to a malloc'd array of the sets' members, each
- * set's roots first and then the nodes in the order they joined; returns
- * the member count, or -1 if memory ran out. The caller frees *members
- * with free_members. */
-int64_t sample_blocks(const uint32_t *entropy, int64_t n_entropy, int64_t n_blocks,
-                      const int64_t *js, const int64_t *takes, int64_t B, int mrr,
-                      int64_t k_low, double frac, int64_t n, const int64_t *indptr,
-                      const int64_t *indices, const double *probs, const double *cum, int lt,
-                      const uint8_t *active, const int64_t *active_idx, int64_t n_i,
-                      int64_t *sizes, int64_t **members, int64_t *words)
+/* One worker's share of a call: blocks first … last − 1, whose sets'
+ * sizes go to sizes and whose members to out, in block order. */
+typedef struct {
+    const graph *g;
+    const uint32_t *entropy;
+    int64_t n_entropy;
+    const int64_t *js, *takes;
+    int64_t first, last, B, k_low, n;
+    double frac;
+    int mrr;
+    int64_t *sizes;
+    vec out;
+    int64_t words;
+    int failed, started;
+    pthread_t thread;
+} run;
+
+/* Draw run arg's blocks, with its own generator, bitmap and buffers; on
+ * running out of memory set its failed flag. The generator and member
+ * buffer are locals while drawing, so runs that share a cache line do
+ * not write to it per draw. */
+static void *draw_run(void *arg)
 {
-    graph g = {indptr, indices, probs, cum, lt, active, active_idx, n_i};
-    uint64_t *seen = calloc((n + 63) / 64, sizeof *seen);
-    uint32_t *key = malloc((n_entropy + 1) * sizeof *key);
-    int64_t *k = malloc(B * sizeof *k);
+    run *r = arg;
+    uint64_t *seen = calloc((r->n + 63) / 64, sizeof *seen);
+    uint32_t *key = malloc((r->n_entropy + 1) * sizeof *key);
+    int64_t *k = malloc(r->B * sizeof *k);
+    int64_t *sizes = r->sizes, n_i = r->g->n_i;
     pcg64 rng = {0};
     vec out = {0};
-    int64_t result = -1;
-    *members = NULL;
-    if (!seen || !key || !k)
-        goto done;
-    for (int64_t i = 0; i < n_entropy; i++)
-        key[i] = entropy[i];
-    for (int64_t b = 0; b < n_blocks; b++) {
+    r->failed = !seen || !key || !k;
+    if (key)
+        memcpy(key, r->entropy, r->n_entropy * sizeof *key);
+    for (int64_t b = r->first; b < r->last && !r->failed; b++) {
         uint64_t state[4];
-        key[n_entropy] = (uint32_t)js[b];
-        seed_state(key, n_entropy + 1, state);
+        key[r->n_entropy] = (uint32_t)r->js[b];
+        seed_state(key, r->n_entropy + 1, state);
         pcg64_seed(&rng, state);
-        for (int64_t s = 0; s < B; s++) {
-            k[s] = mrr ? k_low + (next_double(&rng) < frac) : 1;
+        for (int64_t s = 0; s < r->B; s++) {
+            k[s] = r->mrr ? r->k_low + (next_double(&rng) < r->frac) : 1;
             k[s] = k[s] < 1 ? 1 : k[s] > n_i ? n_i : k[s];
         }
-        for (int64_t s = 0; s < takes[b]; s++) {
+        for (int64_t s = 0; s < r->takes[b]; s++) {
             int64_t start = out.len;
-            if (draw_set(&rng, &g, k[s], seen, &out))
-                goto done;
+            if (draw_set(&rng, r->g, k[s], seen, &out)) {
+                r->failed = 1;
+                break;
+            }
             *sizes++ = out.len - start;
             /* Every bit set in seen is a member of this set. */
             for (int64_t i = start; i < out.len; i++)
                 seen[out.a[i] >> 6] = 0;
         }
     }
-    /* Give back the doubling slack before the caller copies the members. */
+    /* Give back the doubling slack before the members are copied out. */
     int64_t *fit = out.len ? realloc(out.a, out.len * sizeof *fit) : NULL;
-    *members = fit ? fit : out.a;
-    out.a = NULL;
-    result = out.len;
-    *words = rng.words;
-done:
+    r->out = out;
+    if (fit)
+        r->out.a = fit;
+    r->words = rng.words;
     free(seen);
     free(key);
     free(k);
-    free(out.a);
-    return result;
+    return NULL;
 }
 
-void free_members(int64_t *members)
+/* A call's runs, handed to the caller between sample_blocks and
+ * take_members. */
+typedef struct {
+    int64_t n_runs;
+    run runs[];
+} call;
+
+/* Copy the members of c's runs, in run order, to dst (unless it is NULL)
+ * and free c. */
+void take_members(call *c, int64_t *dst)
 {
-    free(members);
+    for (int64_t w = 0; w < c->n_runs; w++) {
+        vec *out = &c->runs[w].out;
+        if (dst && out->len) {
+            memcpy(dst, out->a, out->len * sizeof *dst);
+            dst += out->len;
+        }
+        free(out->a);
+    }
+    free(c);
+}
+
+/* The sets of n_blocks blocks of B sets each: block b draws its first
+ * takes[b] sets from the stream of entropy + (js[b],), with root counts
+ * from k_low and frac when mrr is set, else one root each, from the
+ * active nodes (active[v] != 0) of the n-node graph. The blocks split
+ * into workers contiguous runs (at most one per block), each drawn by
+ * its own thread, the calling thread drawing the first; a run whose
+ * thread cannot start is drawn by the calling thread. A block's sets
+ * depend only on its stream, so the output does not depend on workers.
+ * Writes each set's size to sizes (in set order), the count of 64-bit
+ * words drawn to *words and the runs to *runs, for take_members to copy
+ * the members out: each set's roots first, then the nodes in the order
+ * they joined. Returns the member count; -1 if memory ran out, -2 if a
+ * block id is negative or needs more than 32 bits, -3 if a take is not
+ * in [0, B], with nothing left to free. */
+int64_t sample_blocks(const uint32_t *entropy, int64_t n_entropy, int64_t n_blocks,
+                      const int64_t *js, const int64_t *takes, int64_t B, int mrr,
+                      int64_t k_low, double frac, int64_t n, const int64_t *indptr,
+                      const int64_t *indices, const double *probs, const double *cum, int lt,
+                      const uint8_t *active, int64_t workers, int64_t *sizes, call **runs,
+                      int64_t *words)
+{
+    *runs = NULL;
+    for (int64_t b = 0; b < n_blocks; b++) {
+        if (js[b] < 0 || js[b] > (int64_t)UINT32_MAX)
+            return -2;
+        if (takes[b] < 0 || takes[b] > B)
+            return -3;
+    }
+    workers = workers > n_blocks ? n_blocks : workers;
+    workers = workers < 1 ? 1 : workers;
+    int64_t *active_idx = malloc((n + 1) * sizeof *active_idx);
+    call *c = calloc(1, sizeof *c + workers * sizeof *c->runs);
+    if (!active_idx || !c) {
+        free(active_idx);
+        free(c);
+        return -1;
+    }
+    int64_t n_i = 0;
+    for (int64_t v = 0; v < n; v++)
+        if (active[v])
+            active_idx[n_i++] = v;
+    graph g = {indptr, indices, probs, cum, lt, active, active_idx, n_i};
+    c->n_runs = workers;
+    for (int64_t w = 0, b = 0, set = 0; w < workers; w++) {
+        run *r = &c->runs[w];
+        *r = (run){.g = &g, .entropy = entropy, .n_entropy = n_entropy, .js = js, .takes = takes,
+                   .first = b, .last = n_blocks * (w + 1) / workers, .B = B, .k_low = k_low,
+                   .n = n, .frac = frac, .mrr = mrr, .sizes = sizes + set};
+        for (; b < r->last; b++)
+            set += takes[b];
+    }
+    for (int64_t w = 1; w < workers; w++)
+        c->runs[w].started = !pthread_create(&c->runs[w].thread, NULL, draw_run, &c->runs[w]);
+    draw_run(&c->runs[0]);
+    int64_t count = 0;
+    int failed = 0;
+    *words = 0;
+    for (int64_t w = 0; w < workers; w++) {
+        run *r = &c->runs[w];
+        if (r->started)
+            pthread_join(r->thread, NULL);
+        else if (w)
+            draw_run(r);
+        failed |= r->failed;
+        count += r->out.len;
+        *words += r->words;
+    }
+    free(active_idx);
+    if (failed) {
+        take_members(c, NULL);
+        return -1;
+    }
+    *runs = c;
+    return count;
 }

@@ -14,7 +14,12 @@ raises ``ImportError``.
 kernel carries ports of numpy's ``SeedSequence`` (pool size 4) and
 ``PCG64``, so this module passes only the seed's entropy words and the
 block ids, and the draws follow the order the header comment of
-``block_kernel.c`` sets out.
+``block_kernel.c`` sets out. A call may split its blocks into contiguous
+runs over ``workers`` POSIX threads (built with ``-pthread``), each with
+its own generator state and buffers; every block still draws from its
+own stream, so the output does not depend on the worker count, and the
+kernel copies the runs' members, in block order, straight into the one
+array this module returns.
 """
 import ctypes
 import hashlib
@@ -26,8 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.graphs.csr import REV_CSR
+
 SOURCE = Path(__file__).with_name("block_kernel.c")
-FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+FLAGS = ("-O2", "-std=c99", "-pthread", "-shared", "-fPIC")
 
 
 def _build() -> Path:
@@ -60,10 +67,10 @@ _LIB = ctypes.CDLL(str(_build()))
 _LIB.sample_blocks.restype = _I
 _LIB.sample_blocks.argtypes = [
     _P, _I, _I, _P, _P, _I, ctypes.c_int, _I, ctypes.c_double,
-    _I, _P, _P, _P, _P, ctypes.c_int, _P, _P, _I, _P, _P, _P,
+    _I, _P, _P, _P, _P, ctypes.c_int, _P, _I, _P, _P, _P,
 ]
-_LIB.free_members.restype = None
-_LIB.free_members.argtypes = [_P]
+_LIB.take_members.restype = None
+_LIB.take_members.argtypes = [_P, _P]
 
 # The SeedSequence pool size the kernel's port mixes into (numpy's default).
 POOL_SIZE = 4
@@ -103,6 +110,7 @@ def sample_blocks(
     lt: bool,
     active: np.ndarray,
     root_law: tuple[int, float] | None,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """``(sizes, members, words)`` of the blocks ``js`` of ``block`` sets:
     block ``js[b]`` draws its first ``takes[b]`` sets from the stream of
@@ -111,38 +119,49 @@ def sample_blocks(
     ``block`` root counts k_low + (u < frac), clipped to [1, n_i]; with
     ``None`` (RR) every set has one root. Each set's members come roots
     first, then in the order nodes joined; ``words`` counts the 64-bit
-    generator outputs drawn."""
+    generator outputs drawn.
+
+    The kernel splits the blocks into ``workers`` contiguous runs (at
+    most one per block) and draws each on its own thread, this one
+    drawing the first; the output is the same for any ``workers``.
+    ``payload`` is ``GraphCSR.payload()``, or ``GraphCSR.kernel_payload()``,
+    whose cached ``"addresses"`` of the reverse CSR spare a call looking
+    them up. A block id outside [0, 2^32) or a take outside [0, block]
+    raises ``ValueError`` before any set is drawn.
+    """
     if payload["n"] >= 1 << 32:
         raise ValueError("the block kernel draws node indices as 32-bit integers")
     js = np.ascontiguousarray(js, dtype=np.int64)
-    if js.size and (js.min() < 0 or js.max() >= 1 << 32):
-        raise ValueError("block ids must fit one uint32 spawn-key word")
     takes = np.ascontiguousarray(takes, dtype=np.int64)
-    if takes.shape != js.shape or (takes < 0).any() or (takes > block).any():
+    if takes.shape != js.shape or js.ndim != 1:
         raise ValueError("takes needs one count in [0, block] per block")
     entropy = _entropy_words(seed)
-    active_idx = np.flatnonzero(active)
-    act = np.ascontiguousarray(active, dtype=np.uint8)
+    csr = payload.get("addresses")
+    if csr is None:
+        arrays = [np.ascontiguousarray(payload[name], dtype) for name, dtype in REV_CSR]
+        csr = [a.ctypes.data for a in arrays]
+    act = np.ascontiguousarray(active, dtype=bool)
     k_low, frac = root_law or (1, 0.0)
-    sizes = np.empty(int(takes.sum()), dtype=np.int64)
-    out = _P()
+    # The kernel rejects a negative take before it writes a size.
+    sizes = np.empty(max(int(takes.sum()), 0), dtype=np.int64)
+    runs = _P()
     words = _I()
-    csr = [
-        np.ascontiguousarray(payload[name], dtype)
-        for name, dtype in (("rev_indptr", np.int64), ("rev_indices", np.int64),
-                            ("rev_probs", np.float64), ("rev_cum", np.float64))
-    ]
     count = _LIB.sample_blocks(
         entropy.ctypes.data, len(entropy), len(js), js.ctypes.data, takes.ctypes.data, block,
-        root_law is not None, k_low, frac, payload["n"], *(a.ctypes.data for a in csr), int(lt),
-        act.ctypes.data, active_idx.ctypes.data, len(active_idx), sizes.ctypes.data,
-        ctypes.byref(out), ctypes.byref(words),
+        root_law is not None, k_low, frac, payload["n"], *csr, int(lt), act.ctypes.data, workers,
+        sizes.ctypes.data, ctypes.byref(runs), ctypes.byref(words),
     )
+    if count == -2:
+        raise ValueError("block ids must fit one uint32 spawn-key word")
+    if count == -3:
+        raise ValueError("takes needs one count in [0, block] per block")
     if count < 0:
         raise MemoryError("the block kernel ran out of memory")
-    # A copy, not np.ctypeslib.as_array: that caches a ctypes type per
-    # length, which grows the process by every distinct member count.
-    members = np.empty(count, dtype=np.int64)
-    ctypes.memmove(members.ctypes.data, out, 8 * count)
-    _LIB.free_members(out)
+    # The kernel copies its runs' members into one array and frees them.
+    try:
+        members = np.empty(count, dtype=np.int64)
+    except MemoryError:
+        _LIB.take_members(runs, None)
+        raise
+    _LIB.take_members(runs, members.ctypes.data)
     return sizes, members, words.value

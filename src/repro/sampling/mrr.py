@@ -25,13 +25,18 @@ are drawn in blocks of ``BLOCK`` ids, each a CSR ``(sizes, members)``
 drawn by the compiled kernel (``kernel.py``, ``block_kernel.c``) from
 the generator of the stream ``substream(seed, j)`` alone, which the
 kernel seeds itself: its root counts, then, one set after another, each
-set's roots and reverse BFS. ``sample_sets_pairs`` draws the same sets
+set's roots and reverse BFS. A call with enough expected roots splits
+its blocks over threads inside the kernel (``_workers``: one per
+``ROOTS_PER_WORKER`` roots, at most one per block and per core); since
+a block's sets depend only on its stream, the pool is the same for any
+worker count. ``sample_sets_pairs`` draws the same sets
 on Spark executors (one ``mapInPandas`` row per block over a broadcast
 reverse CSR), as membership rows. ``substream`` is the one
 seed-derivation rule: every caller appends its own key to the path, so
 an ASTI set comes from (run, round, block) and an ATEUC set from (run,
 block); a round's doubling iterations read prefixes of one stream.
 """
+import os
 from typing import Iterator
 
 import numpy as np
@@ -56,12 +61,27 @@ EMPTY_POOL: Pool = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 Seed = int | np.random.SeedSequence
 
+# A kernel call splits its blocks over threads only when each worker
+# gets at least this many expected roots; smaller shares lose more to
+# starting a thread than they gain (DESIGN §2 records the crossover).
+ROOTS_PER_WORKER = 1024
+
 
 def substream(seed: Seed, *key: int) -> np.random.SeedSequence:
     """The independent stream at path ``key`` below ``seed``."""
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key)
     return np.random.SeedSequence(seed, spawn_key=key)
+
+
+def _workers(n_blocks: int, roots: float) -> int:
+    """The worker threads a kernel call of ``n_blocks`` blocks and
+    ``roots`` expected roots splits over: one per ``ROOTS_PER_WORKER``
+    expected roots, but never more than its blocks or the cores this
+    process may run on, and one below the threshold."""
+    if roots < 2 * ROOTS_PER_WORKER:
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_blocks, int(roots // ROOTS_PER_WORKER))
 
 
 def _sample_blocks(
@@ -73,6 +93,7 @@ def _sample_blocks(
     n_sets: int,
     seed: Seed,
     js,
+    workers: int | None = None,
 ) -> Pool:
     """Blocks ``js`` (ascending ids) of ``n_sets`` sets as one CSR
     ``(sizes, members)``: the ids ``j·BLOCK …`` below ``n_sets`` of
@@ -87,14 +108,21 @@ def _sample_blocks(
     as Thm 3.3 needs; an RR set has one root), then the roots and reverse
     BFS of its sets one after another, up to its last id below
     ``n_sets``. A set's draws follow only those of the sets before it, so
-    a set never depends on the pool size.
+    a set never depends on the pool size. The kernel splits the blocks
+    over ``workers`` threads, by default ``_workers`` of the call's
+    expected roots (k per set); the sets are the same for any count.
     """
     n_i = int(np.count_nonzero(active))
     ratio = n_i / eta_i
     root_law = (int(ratio), ratio - int(ratio)) if roots == "mrr" else None
-    takes = np.minimum(BLOCK, n_sets - BLOCK * np.asarray(js, dtype=np.int64))
+    js = np.asarray(js, dtype=np.int64)
+    takes = np.minimum(BLOCK, n_sets - BLOCK * js)
+    if workers is None:
+        workers = _workers(len(js), float(takes.sum()) * (ratio if root_law else 1))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = substream(seed)
     sizes, members, _ = kernel.sample_blocks(
-        substream(seed), js, takes, BLOCK, payload, model == LT, active, root_law
+        seed, js, takes, BLOCK, payload, model == LT, active, root_law, workers
     )
     return sizes, members
 
@@ -126,14 +154,14 @@ def sample_pool(
 
     The pool's set j (set ``first_block·BLOCK + j`` of the stream) has
     members ``members[indptr[j]:indptr[j + 1]]``. The driver draws every
-    block of the call in one kernel call. Bad input raises
+    block of the call in one kernel call, over ``_workers`` threads. Bad
+    input raises
     ``ValueError`` before any set is drawn.
     """
     _check_inputs(g, active, model, roots)
     n_blocks = -(-n_sets // BLOCK)
-    sizes, members = _sample_blocks(
-        g.payload(), active, eta_i, model, roots, n_sets, seed, range(first_block, n_blocks)
-    )
+    js = np.arange(first_block, n_blocks)
+    sizes, members = _sample_blocks(g.kernel_payload(), active, eta_i, model, roots, n_sets, seed, js)
     indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return indptr, members
@@ -212,7 +240,8 @@ def sample_sets_pairs(
         act = np.unpackbits(active_bytes, count=n).astype(bool)
         for pdf in batches:
             js = pdf["block"].tolist()
-            sizes, members = _sample_blocks(payload, act, eta_i, model, roots, n_sets, seed, js)
+            # Spark runs one task per core already: a task draws on one.
+            sizes, members = _sample_blocks(payload, act, eta_i, model, roots, n_sets, seed, js, 1)
             ids = np.concatenate([j * BLOCK + np.arange(min(BLOCK, n_sets - j * BLOCK)) for j in js])
             yield pd.DataFrame({"set_id": np.repeat(ids, sizes), "node": members})
 

@@ -75,11 +75,12 @@ def test_missing_compiler_fails_the_import(tmp_path):
 
 
 def test_kernel_compiles_without_warnings():
-    """The kernel source passes ``-Wall -Wextra -Werror``: the import's
-    build drops the compiler's output on success, so warnings surface
-    only here."""
+    """The kernel source passes ``-Wall -Wextra -Werror`` with the
+    build's ``-pthread``: the import's build drops the compiler's output
+    on success, so warnings surface only here."""
     done = subprocess.run(
-        ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(kernel.SOURCE)],
+        ["cc", "-std=c99", "-pthread", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         str(kernel.SOURCE)],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

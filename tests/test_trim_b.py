@@ -96,6 +96,44 @@ def test_greedy_matches_reference_with_ties(seed, k):
     assert (picks, curve) == _reference_greedy(sets, n, k)
 
 
+def _brute_greedy(indptr, members, n, k):
+    """Greedy by a full recount per pick: every node's gain is the number
+    of uncovered sets holding it; lowest id wins ties, stop at zero
+    gain."""
+    set_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    covered = np.zeros(len(indptr) - 1, dtype=bool)
+    picks, curve = [], []
+    for _ in range(k):
+        gains = np.bincount(members[~covered[set_of]], minlength=n)
+        v = int(gains.argmax())
+        if gains[v] == 0:
+            break
+        covered[set_of[members == v]] = True
+        picks.append(v)
+        curve.append(int(covered.sum()))
+    return picks, curve
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_past_16_bit_node_ids(seed):
+    """On n = 200,003 nodes, where the node→sets index sorts on two 16-bit
+    halves, the picks and curve equal a full-recount greedy's, with ties
+    between nodes that share their low 16 bits."""
+    rng = np.random.default_rng(seed)
+    n = 200_003
+    # Hubs 2^16 apart share their low half, so the two sorts must agree.
+    hubs = np.array([5, 5 + (1 << 16), 5 + (2 << 16), n - 1, 70_000])
+    sets = [
+        np.unique(np.concatenate([rng.integers(0, n, rng.integers(1, 6)),
+                                  rng.choice(hubs, rng.integers(0, 3))]))
+        for _ in range(3000)
+    ]
+    indptr, members = csr_pool(sets)
+    picks, curve = greedy_max_coverage(indptr, members, n, 40)
+    assert (picks, curve) == _brute_greedy(indptr, members, n, 40)
+    assert max(picks) >= 1 << 16
+
+
 @pytest.mark.parametrize("b", [2, 4])
 @pytest.mark.parametrize("model", [IC, LT])
 def test_trim_b_returns_b_active_nodes(small_cl_graph, b, model):
