@@ -2,32 +2,35 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/worker_crossover.py [--pairs 40]
+    python3 benchmarks/worker_crossover.py --out BENCH_workers.json
 
 Times ``kernel.sample_blocks`` on one call at 1 worker and at w = 2 and
-w = 4 workers, in interleaved pairs (the order alternating pair by
-pair), and prints per cell the median of the paired ratios
-time(w)/time(1) with the number of pairs w won. Cells are RR calls of
+w = 4 workers, in ``PAIRS`` interleaved pairs (the order alternating
+pair by pair), and records per cell the median of the paired ratios
+time(w)/time(1) and the number of pairs w won. Cells are RR calls of
 512 … 16,384 sets and mRR calls at several η on ``nethept_lite`` and
 ``livejournal_lite`` (IC and LT, every tenth node inactive), and each
-reports its expected roots per worker, the quantity
+records its expected roots per worker, the quantity
 ``mrr.ROOTS_PER_WORKER`` bounds: a ratio below 1 means the split won.
-Needs at least 4 cores to mean anything.
+The document, with the commit, host and library versions, is written to
+``--out``. Needs at least 4 cores to mean anything, and says nothing of
+more than 4 workers.
 """
 import argparse
+import json
 import statistics
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# Importing sampler_throughput also puts this checkout's src/ on sys.path.
+from sampler_throughput import commit, host
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-from repro.graphs.generator import dataset_csr  # noqa: E402
-from repro.sampling import kernel  # noqa: E402
-from repro.sampling.mrr import BLOCK, substream  # noqa: E402
+from repro.graphs.generator import dataset_csr
+from repro.sampling import kernel
+from repro.sampling.mrr import BLOCK, substream
 
 DATASETS = ("nethept_lite", "livejournal_lite")
 MODELS = ("IC", "LT")
@@ -38,6 +41,7 @@ CELLS = (
     ("mrr", 512, 0.05),
 )
 WORKERS = (2, 4)
+PAIRS = 30
 
 
 def _time(draw, workers: int) -> float:
@@ -46,15 +50,11 @@ def _time(draw, workers: int) -> float:
     return time.perf_counter() - t0
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--pairs", type=int, default=40, help="interleaved pairs per cell and w")
-    args = p.parse_args(argv)
-    print("dataset           model roots n_sets  eta_i  roots/call  w  roots/worker  "
-          "median t(w)/t(1)  w won")
+def measure() -> list[dict]:
+    cells = []
     for name in DATASETS:
         g = dataset_csr(name)
-        payload = g.kernel_payload()
+        graph = g.kernel_graph()
         active = np.ones(g.n, bool)
         active[::10] = False
         n_i = int(active.sum())
@@ -68,22 +68,43 @@ def main(argv=None):
                 expected = n_sets * (ratio if root_law else 1)
 
                 def draw(workers):
-                    return kernel.sample_blocks(substream(7, n_sets), js, takes, BLOCK, payload,
+                    return kernel.sample_blocks(substream(7, n_sets), js, takes, BLOCK, graph,
                                                 model == "LT", active, root_law, workers)
 
                 for w in WORKERS:
                     draw(1), draw(w)
                     ratios = []
-                    for i in range(args.pairs):
+                    for i in range(PAIRS):
                         if i % 2:
                             t_w, t_1 = _time(draw, w), _time(draw, 1)
                         else:
                             t_1, t_w = _time(draw, 1), _time(draw, w)
                         ratios.append(t_w / t_1)
-                    won = sum(r < 1 for r in ratios)
-                    print(f"{name:17s} {model:5s} {roots:5s} {n_sets:6d} {eta_i:6d} "
-                          f"{expected:11.0f} {w:2d} {expected / w:13.0f}  "
-                          f"{statistics.median(ratios):16.3f}  {won:3d}/{args.pairs}", flush=True)
+                    cell = {
+                        "dataset": name,
+                        "model": model,
+                        "roots": roots,
+                        "n_sets": n_sets,
+                        "eta_i": eta_i,
+                        "workers": w,
+                        "roots_per_worker": round(expected / w),
+                        "median_ratio": round(statistics.median(ratios), 3),
+                        "split_won": sum(r < 1 for r in ratios),
+                    }
+                    cells.append(cell)
+                    print(f"{name:17s} {model:2s} {roots:3s} sets={n_sets:5d} eta_i={eta_i:4d} "
+                          f"w={w} roots/worker={cell['roots_per_worker']:5d} "
+                          f"t(w)/t(1)={cell['median_ratio']:.3f} won {cell['split_won']}/{PAIRS}",
+                          file=sys.stderr, flush=True)
+    return cells
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = p.parse_args(argv)
+    doc = {**commit(), "host": host(), "pairs": PAIRS, "cells": measure()}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -115,9 +115,11 @@ def greedy_max_coverage(
         if covered is None:  # counts are still the initial ones here
             # The set holding each member position, grouped by node (any
             # order within a node works): numpy's stable sort of uint16
-            # keys is a linear radix sort, so past 16 bits the members
-            # are sorted on their low half, then stably on their high
-            # half (an LSD radix sort; node ids fit 32 bits).
+            # keys is a linear radix sort, so when node ids pass 16 bits
+            # (n > 65,536) the members are sorted on their low half, then
+            # stably on their high half (an LSD radix sort; node ids fit
+            # 32 bits). No benchmarked workload has such ids: the lite
+            # graphs have at most 4,000 nodes.
             set_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
             by_node = np.argsort(members.astype(np.uint16), kind="stable")
             if n > 1 << 16:

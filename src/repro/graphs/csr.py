@@ -16,11 +16,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-# The reverse CSR arrays of ``GraphCSR.payload()`` that the block kernel
-# reads, with their C types.
-REV_CSR = (("rev_indptr", np.int64), ("rev_indices", np.int64),
-           ("rev_probs", np.float64), ("rev_cum", np.float64))
-
 
 def row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(owner, slots)``: the CSR slots of ``rows`` (which may repeat or
@@ -61,7 +56,7 @@ class GraphCSR:
     indeg: np.ndarray
     outdeg: np.ndarray
     _bc: tuple = field(default=(None, None), repr=False)
-    _kernel: dict | None = field(default=None, repr=False)
+    _kernel: tuple | None = field(default=None, repr=False)
 
     @staticmethod
     def from_edges(
@@ -148,18 +143,15 @@ class GraphCSR:
             "rev_cum": self.rev_cum,
         }
 
-    def kernel_payload(self) -> dict:
-        """``payload()`` with its ``REV_CSR`` arrays in their C types plus
-        ``"addresses"``, the arrays' data addresses, which the block
-        kernel reads. Built once and cached, as ``broadcast`` caches its
-        broadcast, so a sampler call skips the lookups. The addresses mean
-        nothing in another process: executors read ``payload()``."""
+    def kernel_graph(self) -> tuple:
+        """``kernel.prepare(self.payload())``, the block kernel's view of
+        this graph, built once and cached as ``broadcast`` caches its
+        broadcast. It holds addresses, which mean nothing in another
+        process: executors prepare the broadcast ``payload()``."""
         if self._kernel is None:
-            p = self.payload()
-            for name, dtype in REV_CSR:
-                p[name] = np.ascontiguousarray(p[name], dtype)
-            p["addresses"] = tuple(p[name].ctypes.data for name, _ in REV_CSR)
-            self._kernel = p
+            from repro.sampling import kernel
+
+            self._kernel = kernel.prepare(self.payload())
         return self._kernel
 
     def broadcast(self, spark: SparkSession):

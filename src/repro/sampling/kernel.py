@@ -19,7 +19,9 @@ runs over ``workers`` POSIX threads (built with ``-pthread``), each with
 its own generator state and buffers; every block still draws from its
 own stream, so the output does not depend on the worker count, and the
 kernel copies the runs' members, in block order, straight into the one
-array this module returns.
+array this module returns. The kernel reads a graph as ``prepare`` lays
+it out: its reverse CSR in C types and those arrays' addresses, which a
+caller that draws from one graph many times prepares once.
 """
 import ctypes
 import hashlib
@@ -30,8 +32,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-from repro.graphs.csr import REV_CSR
 
 SOURCE = Path(__file__).with_name("block_kernel.c")
 FLAGS = ("-O2", "-std=c99", "-pthread", "-shared", "-fPIC")
@@ -75,6 +75,24 @@ _LIB.take_members.argtypes = [_P, _P]
 # The SeedSequence pool size the kernel's port mixes into (numpy's default).
 POOL_SIZE = 4
 
+# The reverse CSR arrays of ``GraphCSR.payload()`` the kernel reads, with
+# their C types.
+REV_CSR = (("rev_indptr", np.int64), ("rev_indices", np.int64),
+           ("rev_probs", np.float64), ("rev_cum", np.float64))
+
+
+def prepare(payload: dict) -> tuple:
+    """The graph ``sample_blocks`` reads, from ``GraphCSR.payload()``:
+    ``(n, arrays, addresses)``, the ``REV_CSR`` arrays in their C types
+    and their data addresses. Looking the addresses up costs ~7 µs, a
+    fifth of a one-set call, so ``GraphCSR.kernel_graph`` prepares a
+    graph once. The addresses mean nothing in another process. A graph
+    of 2^32 nodes or more raises ``ValueError``."""
+    if payload["n"] >= 1 << 32:
+        raise ValueError("the block kernel draws node indices as 32-bit integers")
+    arrays = tuple(np.ascontiguousarray(payload[name], dtype) for name, dtype in REV_CSR)
+    return payload["n"], arrays, tuple(a.ctypes.data for a in arrays)
+
 
 def _uint32_words(x) -> list[int]:
     """numpy's coercion of ``SeedSequence`` entropy to uint32 words: an
@@ -106,7 +124,7 @@ def sample_blocks(
     js,
     takes: np.ndarray,
     block: int,
-    payload: dict,
+    graph: tuple,
     lt: bool,
     active: np.ndarray,
     root_law: tuple[int, float] | None,
@@ -124,22 +142,16 @@ def sample_blocks(
     The kernel splits the blocks into ``workers`` contiguous runs (at
     most one per block) and draws each on its own thread, this one
     drawing the first; the output is the same for any ``workers``.
-    ``payload`` is ``GraphCSR.payload()``, or ``GraphCSR.kernel_payload()``,
-    whose cached ``"addresses"`` of the reverse CSR spare a call looking
-    them up. A block id outside [0, 2^32) or a take outside [0, block]
-    raises ``ValueError`` before any set is drawn.
+    ``graph`` is ``prepare``'s layout of the graph. A block id outside
+    [0, 2^32) or a take outside [0, block] raises ``ValueError`` before
+    any set is drawn.
     """
-    if payload["n"] >= 1 << 32:
-        raise ValueError("the block kernel draws node indices as 32-bit integers")
     js = np.ascontiguousarray(js, dtype=np.int64)
     takes = np.ascontiguousarray(takes, dtype=np.int64)
     if takes.shape != js.shape or js.ndim != 1:
         raise ValueError("takes needs one count in [0, block] per block")
     entropy = _entropy_words(seed)
-    csr = payload.get("addresses")
-    if csr is None:
-        arrays = [np.ascontiguousarray(payload[name], dtype) for name, dtype in REV_CSR]
-        csr = [a.ctypes.data for a in arrays]
+    n, _, csr = graph
     act = np.ascontiguousarray(active, dtype=bool)
     k_low, frac = root_law or (1, 0.0)
     # The kernel rejects a negative take before it writes a size.
@@ -148,7 +160,7 @@ def sample_blocks(
     words = _I()
     count = _LIB.sample_blocks(
         entropy.ctypes.data, len(entropy), len(js), js.ctypes.data, takes.ctypes.data, block,
-        root_law is not None, k_low, frac, payload["n"], *csr, int(lt), act.ctypes.data, workers,
+        root_law is not None, k_low, frac, n, *csr, int(lt), act.ctypes.data, workers,
         sizes.ctypes.data, ctypes.byref(runs), ctypes.byref(words),
     )
     if count == -2:

@@ -27,7 +27,8 @@ the generator of the stream ``substream(seed, j)`` alone, which the
 kernel seeds itself: its root counts, then, one set after another, each
 set's roots and reverse BFS. A call with enough expected roots splits
 its blocks over threads inside the kernel (``_workers``: one per
-``ROOTS_PER_WORKER`` roots, at most one per block and per core); since
+``ROOTS_PER_WORKER`` roots, at most one per core; the kernel starts at
+most one per block); since
 a block's sets depend only on its stream, the pool is the same for any
 worker count. ``sample_sets_pairs`` draws the same sets
 on Spark executors (one ``mapInPandas`` row per block over a broadcast
@@ -74,18 +75,19 @@ def substream(seed: Seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=key)
 
 
-def _workers(n_blocks: int, roots: float) -> int:
-    """The worker threads a kernel call of ``n_blocks`` blocks and
-    ``roots`` expected roots splits over: one per ``ROOTS_PER_WORKER``
-    expected roots, but never more than its blocks or the cores this
-    process may run on, and one below the threshold."""
+def _workers(roots: float) -> int:
+    """The worker threads a kernel call of ``roots`` expected roots
+    splits over: one per ``ROOTS_PER_WORKER`` expected roots, but never
+    more than the cores this process may run on, and one below the
+    threshold. The kernel starts no more threads than the call has
+    blocks."""
     if roots < 2 * ROOTS_PER_WORKER:
         return 1
-    return min(len(os.sched_getaffinity(0)), n_blocks, int(roots // ROOTS_PER_WORKER))
+    return min(len(os.sched_getaffinity(0)), int(roots // ROOTS_PER_WORKER))
 
 
 def _sample_blocks(
-    payload: dict,
+    graph: tuple,
     active: np.ndarray,
     eta_i: int,
     model: str,
@@ -98,7 +100,7 @@ def _sample_blocks(
     """Blocks ``js`` (ascending ids) of ``n_sets`` sets as one CSR
     ``(sizes, members)``: the ids ``j·BLOCK …`` below ``n_sets`` of
     each block j in turn, block j drawn from the stream ``(seed, j)``
-    only.
+    only. ``graph`` is ``kernel.prepare``'s layout of the graph.
 
     The compiled kernel (``kernel.py``) derives block j's generator from
     ``substream(seed)`` and j as ``default_rng(substream(seed, j))``
@@ -118,11 +120,11 @@ def _sample_blocks(
     js = np.asarray(js, dtype=np.int64)
     takes = np.minimum(BLOCK, n_sets - BLOCK * js)
     if workers is None:
-        workers = _workers(len(js), float(takes.sum()) * (ratio if root_law else 1))
+        workers = _workers(float(takes.sum()) * (ratio if root_law else 1))
     if not isinstance(seed, np.random.SeedSequence):
         seed = substream(seed)
     sizes, members, _ = kernel.sample_blocks(
-        seed, js, takes, BLOCK, payload, model == LT, active, root_law, workers
+        seed, js, takes, BLOCK, graph, model == LT, active, root_law, workers
     )
     return sizes, members
 
@@ -161,7 +163,7 @@ def sample_pool(
     _check_inputs(g, active, model, roots)
     n_blocks = -(-n_sets // BLOCK)
     js = np.arange(first_block, n_blocks)
-    sizes, members = _sample_blocks(g.kernel_payload(), active, eta_i, model, roots, n_sets, seed, js)
+    sizes, members = _sample_blocks(g.kernel_graph(), active, eta_i, model, roots, n_sets, seed, js)
     indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=indptr[1:])
     return indptr, members
@@ -236,12 +238,12 @@ def sample_sets_pairs(
     tasks_df = spark.range(first_block, n_blocks, 1, parts).toDF("block")
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        payload = bc.value
+        graph = kernel.prepare(bc.value)
         act = np.unpackbits(active_bytes, count=n).astype(bool)
         for pdf in batches:
             js = pdf["block"].tolist()
             # Spark runs one task per core already: a task draws on one.
-            sizes, members = _sample_blocks(payload, act, eta_i, model, roots, n_sets, seed, js, 1)
+            sizes, members = _sample_blocks(graph, act, eta_i, model, roots, n_sets, seed, js, 1)
             ids = np.concatenate([j * BLOCK + np.arange(min(BLOCK, n_sets - j * BLOCK)) for j in js])
             yield pd.DataFrame({"set_id": np.repeat(ids, sizes), "node": members})
 

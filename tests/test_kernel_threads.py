@@ -7,9 +7,11 @@ the call's expected roots, and Spark tasks draw on one thread. A C
 driver built with ThreadSanitizer and with AddressSanitizer runs the
 kernel at 4 workers where ``cc`` supports them.
 """
+import json
 import os
 import subprocess
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ def test_worker_counts_give_the_same_bytes(small_cl_graph, model, root_law, firs
     js = np.arange(first_block, 9)
     takes = np.minimum(BLOCK, 8 * BLOCK + 40 - BLOCK * js)
     draws = [
-        kernel.sample_blocks(substream(5, 1), js, takes, BLOCK, g.payload(), model == LT,
+        kernel.sample_blocks(substream(5, 1), js, takes, BLOCK, g.kernel_graph(), model == LT,
                              active, root_law, workers)
         for workers in (1, 2, 4)
     ]
@@ -51,7 +53,7 @@ def test_more_workers_than_blocks_draw_each_block_once(small_cl_graph):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     one, four = (
-        kernel.sample_blocks(substream(2), [3, 4], [BLOCK, 7], BLOCK, g.payload(), False,
+        kernel.sample_blocks(substream(2), [3, 4], [BLOCK, 7], BLOCK, g.kernel_graph(), False,
                              active, None, workers)
         for workers in (1, 4)
     )
@@ -71,22 +73,44 @@ def test_kernel_checks_blocks_before_drawing(small_cl_graph, js, takes, match):
     negative block id with ``ValueError``."""
     g = small_cl_graph
     with pytest.raises(ValueError, match=match):
-        kernel.sample_blocks(substream(1), js, takes, BLOCK, g.payload(), False,
+        kernel.sample_blocks(substream(1), js, takes, BLOCK, g.kernel_graph(), False,
                              np.ones(g.n, bool), None, 2)
 
 
 def test_worker_rule(monkeypatch):
     """Under ``2·ROOTS_PER_WORKER`` expected roots a call gets one worker;
-    above it one per ``ROOTS_PER_WORKER``, never more than its blocks or
-    the cores this process may use."""
+    above it one per ``ROOTS_PER_WORKER``, never more than the cores this
+    process may use. (The kernel caps the count at the call's blocks:
+    the sanitizer driver below checks that.)"""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert mrr._workers(100, 2 * ROOTS_PER_WORKER - 1) == 1
-    assert mrr._workers(100, 2 * ROOTS_PER_WORKER) == 2
-    assert mrr._workers(100, 3.5 * ROOTS_PER_WORKER) == 3
-    assert mrr._workers(100, 1e9) == 4
-    assert mrr._workers(3, 1e9) == 3
+    assert mrr._workers(2 * ROOTS_PER_WORKER - 1) == 1
+    assert mrr._workers(2 * ROOTS_PER_WORKER) == 2
+    assert mrr._workers(3.5 * ROOTS_PER_WORKER) == 3
+    assert mrr._workers(1e9) == 4
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
-    assert mrr._workers(100, 1e9) == 1
+    assert mrr._workers(1e9) == 1
+
+
+def test_worker_crossover_runs(monkeypatch, tmp_path):
+    """``benchmarks/worker_crossover.py``, cut down to one small cell and
+    two pairs, times the call at 1 and 2 workers and writes its
+    document."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import worker_crossover as wc
+
+    monkeypatch.setattr(wc, "DATASETS", ("nethept_lite",))
+    monkeypatch.setattr(wc, "MODELS", ("IC",))
+    monkeypatch.setattr(wc, "CELLS", (("mrr", BLOCK + 5, 0.1),))
+    monkeypatch.setattr(wc, "WORKERS", (2,))
+    monkeypatch.setattr(wc, "PAIRS", 2)
+    out = tmp_path / "workers.json"
+    wc.main(["--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["pairs"] == 2 and "sha" in doc and "host" in doc
+    [cell] = doc["cells"]
+    assert (cell["dataset"], cell["model"], cell["roots"], cell["n_sets"], cell["eta_i"],
+            cell["workers"]) == ("nethept_lite", "IC", "mrr", BLOCK + 5, 120, 2)
+    assert cell["median_ratio"] > 0 and 0 <= cell["split_won"] <= 2
 
 
 @pytest.mark.parametrize("roots,eta_i,n_sets,cores,expected", [
@@ -94,9 +118,10 @@ def test_worker_rule(monkeypatch):
     ("rr", 1, 2 * ROOTS_PER_WORKER - 1, 4, 1),
     ("rr", 1, 4 * ROOTS_PER_WORKER, 2, 2),
     ("rr", 1, 4 * ROOTS_PER_WORKER, 4, 4),
-    # mRR on 135 active nodes at η = 15: 9 roots per set.
+    # mRR on 135 active nodes at η = 15: 9 roots per set; the kernel
+    # splits the last call's two blocks over two of the four.
     ("mrr", 15, 200, 4, 1),
-    ("mrr", 15, 2 * BLOCK, 4, 2),
+    ("mrr", 15, 2 * BLOCK, 4, 4),
 ])
 def test_sample_pool_passes_the_rule(small_cl_graph, monkeypatch, roots, eta_i, n_sets, cores,
                                      expected):
@@ -132,7 +157,7 @@ def test_spark_tasks_draw_on_one_thread(spark, small_cl_graph, monkeypatch):
         workers = args[8] if len(args) > 8 else kwargs.get("workers")
         return sizes, np.full_like(members, -1 if workers is None else workers)
 
-    assert mrr._workers(16, n_sets) > 1 or len(os.sched_getaffinity(0)) == 1
+    assert mrr._workers(n_sets) > 1 or len(os.sched_getaffinity(0)) == 1
     monkeypatch.setattr(mrr, "_sample_blocks", spy)
     nodes = sample_sets_pairs(spark, g, active, 1, IC, n_sets, 3, roots="rr").toPandas()["node"]
     monkeypatch.setattr(mrr, "_sample_blocks", real)
@@ -192,6 +217,16 @@ DRIVER = textwrap.dedent("""
                 if (!same)
                     return 3;
             }}
+        /* Four workers over two blocks make two runs: one thread starts. */
+        call *runs;
+        int64_t words;
+        if (sample_blocks(entropy, 5, 2, js, takes, B, 0, 1, 0.0, N, indptr, indices, probs,
+                          cum, 0, active, 4, sizes[0], &runs, &words) < 0)
+            return 2;
+        int64_t n_runs = runs->n_runs;
+        take_members(runs, NULL);
+        if (n_runs != 2)
+            return 4;
         puts("ok");
         return 0;
     }}
@@ -202,7 +237,8 @@ DRIVER = textwrap.dedent("""
 def test_kernel_is_clean_under_sanitizers(tmp_path, sanitizer):
     """Built with ``-fsanitize=thread`` or ``-fsanitize=address``, a C
     driver draws every model and root mode at 4 workers, gets what 1
-    worker draws, and the sanitizer reports nothing."""
+    worker draws, sees a 2-block call at 4 workers make 2 runs, and the
+    sanitizer reports nothing."""
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
     flags = ["-g", "-O1", "-std=c99", "-pthread", f"-fsanitize={sanitizer}"]

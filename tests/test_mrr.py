@@ -160,7 +160,7 @@ def test_pool_does_not_depend_on_chunk(small_cl_graph, model, roots, eta_i):
     active[::10] = False
     n_sets = 5 * BLOCK + 40
     indptr, members = sample_pool(g, active, eta_i, model, n_sets, 13, roots=roots)
-    draw = partial(mrr._sample_blocks, g.payload(), active, eta_i, model, roots, n_sets, 13)
+    draw = partial(mrr._sample_blocks, g.kernel_graph(), active, eta_i, model, roots, n_sets, 13)
     for chunk in (1, 5):
         parts = [draw(range(lo, min(lo + chunk, 6))) for lo in range(0, 6, chunk)]
         sizes = np.concatenate([s for s, _ in parts])
@@ -181,7 +181,7 @@ def test_batch_equals_its_blocks_alone(small_cl_graph, model, n_active):
     if n_active is not None:
         active[:] = False
         active[np.argmax(g.indeg)] = True
-    draw = partial(mrr._sample_blocks, g.payload(), active, 1, model, "rr", 3 * BLOCK + 40, 13)
+    draw = partial(mrr._sample_blocks, g.kernel_graph(), active, 1, model, "rr", 3 * BLOCK + 40, 13)
     for js in (range(4), range(1, 3)):
         sizes, members = draw(js)
         alone = [draw([j]) for j in js]
@@ -217,7 +217,7 @@ def test_kernel_stream_is_numpys(seed):
     active_idx = np.flatnonzero(active)
     n_i, eta_i = len(active_idx), 4
     n_sets = (ORACLE_BLOCKS[-1] + 1) * BLOCK
-    draw = partial(mrr._sample_blocks, g.payload(), active, eta_i, IC, n_sets=n_sets, seed=seed,
+    draw = partial(mrr._sample_blocks, g.kernel_graph(), active, eta_i, IC, n_sets=n_sets, seed=seed,
                    js=ORACLE_BLOCKS)
     _, rr_roots = draw(roots="rr")
     mrr_sizes, _ = draw(roots="mrr")
@@ -235,10 +235,10 @@ def test_kernel_rejects_streams_it_cannot_derive(small_cl_graph):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     with pytest.raises(ValueError, match="uint32"):
-        mrr._sample_blocks(g.payload(), active, 1, IC, "rr", (2**32 + 1) * BLOCK, 3, [2**32])
+        mrr._sample_blocks(g.kernel_graph(), active, 1, IC, "rr", (2**32 + 1) * BLOCK, 3, [2**32])
     with pytest.raises(ValueError, match="pool"):
         kernel.sample_blocks(np.random.SeedSequence(3, pool_size=8), [0], [1], BLOCK,
-                             g.payload(), False, active, None)
+                             g.kernel_graph(), False, active, None)
 
 
 @pytest.mark.parametrize("model", [IC, LT])
@@ -249,7 +249,7 @@ def test_a_set_draws_only_its_own_uniforms(small_cl_graph, model):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     words = [
-        kernel.sample_blocks(substream(3), [0], [n_sets], BLOCK, g.payload(), model == LT,
+        kernel.sample_blocks(substream(3), [0], [n_sets], BLOCK, g.kernel_graph(), model == LT,
                              active, None)[2]
         for n_sets in (1, BLOCK)
     ]
@@ -305,7 +305,7 @@ def test_lt_pick_stays_in_own_slots(monkeypatch, draws):
             n=8, probs=np.array([1.0, 0.3, 1.0, 0.3, 0.7]),
         )
         active = np.ones(heavy.n, bool)
-        sizes, members = mrr._sample_blocks(heavy.payload(), active, 1, LT, "rr", 2000, 3, range(8))
+        sizes, members = mrr._sample_blocks(heavy.kernel_graph(), active, 1, LT, "rr", 2000, 3, range(8))
         indptr = np.concatenate([[0], np.cumsum(sizes)])
         sets = _picks_in_own_slots(heavy, indptr, members)
         assert (2, 6) in {tuple(s.tolist()) for s in sets}

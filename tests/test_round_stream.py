@@ -130,7 +130,7 @@ def _call(dataset, model, roots, eta_frac, n_sets, first_block):
     for a in pool:
         h.update(np.ascontiguousarray(a).tobytes())
     alone = [
-        mrr._sample_blocks(g.payload(), active, eta_i, model, roots, n_sets, 9, [j])
+        mrr._sample_blocks(g.kernel_graph(), active, eta_i, model, roots, n_sets, 9, [j])
         for j in range(first_block, -(-n_sets // BLOCK))
     ]
     return h.hexdigest(), pool, alone
