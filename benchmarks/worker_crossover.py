@@ -8,10 +8,11 @@ Times ``kernel.sample_blocks`` on one call at 1 worker and at w = 2 and
 w = 4 workers, in ``PAIRS`` interleaved pairs (the order alternating
 pair by pair), and records per cell the median of the paired ratios
 time(w)/time(1) and the number of pairs w won. Cells are RR calls of
-512 … 16,384 sets and mRR calls at several η on ``nethept_lite`` and
-``livejournal_lite`` (IC and LT, every tenth node inactive), and each
-records its expected roots per worker, the quantity
-``mrr.ROOTS_PER_WORKER`` bounds: a ratio below 1 means the split won.
+512 … 16,384 sets and mRR calls of 128 … 2,048 sets at η/n 0.01–0.2 on
+``nethept_lite`` and ``livejournal_lite`` (IC and LT, every tenth node
+inactive), and each records the call's expected roots and its roots
+per worker; ``mrr._workers`` is keyed on the call's expected roots: a
+ratio below 1 means the split won.
 The document, with the commit, host and library versions, is written to
 ``--out``. Needs at least 4 cores to mean anything, and says nothing of
 more than 4 workers.
@@ -34,11 +35,13 @@ from repro.sampling.mrr import BLOCK, substream
 
 DATASETS = ("nethept_lite", "livejournal_lite")
 MODELS = ("IC", "LT")
-# (roots, n_sets, η/n); RR sets ignore η.
+# (roots, n_sets, η/n); RR sets ignore η. The small mRR calls at η/n
+# 0.01–0.05 are the root counts of late TRIM rounds.
 CELLS = (
     ("rr", 512, None), ("rr", 1024, None), ("rr", 2048, None), ("rr", 4096, None),
-    ("rr", 16384, None), ("mrr", 512, 0.2), ("mrr", 1024, 0.2), ("mrr", 2048, 0.2),
-    ("mrr", 512, 0.05),
+    ("rr", 16384, None), ("mrr", 256, 0.2), ("mrr", 512, 0.2), ("mrr", 1024, 0.2),
+    ("mrr", 2048, 0.2), ("mrr", 128, 0.05), ("mrr", 256, 0.05), ("mrr", 512, 0.05),
+    ("mrr", 128, 0.01), ("mrr", 256, 0.01), ("mrr", 512, 0.01),
 )
 WORKERS = (2, 4)
 PAIRS = 30
@@ -87,6 +90,7 @@ def measure() -> list[dict]:
                         "n_sets": n_sets,
                         "eta_i": eta_i,
                         "workers": w,
+                        "expected_roots": round(expected),
                         "roots_per_worker": round(expected / w),
                         "median_ratio": round(statistics.median(ratios), 3),
                         "split_won": sum(r < 1 for r in ratios),

@@ -288,11 +288,10 @@ static void *draw_run(void *arg)
                 seen[out.a[i] >> 6] = 0;
         }
     }
-    /* Give back the doubling slack before the members are copied out. */
-    int64_t *fit = out.len ? realloc(out.a, out.len * sizeof *fit) : NULL;
+    /* The buffer keeps its doubling slack until take_members frees it:
+     * shrinking it in place left holes in the heap when runs grew side
+     * by side, which raised the process's resident memory. */
     r->out = out;
-    if (fit)
-        r->out.a = fit;
     r->words = rng.words;
     free(seen);
     free(key);

@@ -19,7 +19,9 @@ runs over ``workers`` POSIX threads (built with ``-pthread``), each with
 its own generator state and buffers; every block still draws from its
 own stream, so the output does not depend on the worker count, and the
 kernel copies the runs' members, in block order, straight into the one
-array this module returns. The kernel reads a graph as ``prepare`` lays
+array this module returns. A block is the grain of the split, so with
+``mrr.BLOCK`` = 32 sets a call of a few hundred sets still spans enough
+blocks to run on every core. The kernel reads a graph as ``prepare`` lays
 it out: its reverse CSR in C types and those arrays' addresses, which a
 caller that draws from one graph many times prepares once.
 """

@@ -26,9 +26,9 @@ drawn by the compiled kernel (``kernel.py``, ``block_kernel.c``) from
 the generator of the stream ``substream(seed, j)`` alone, which the
 kernel seeds itself: its root counts, then, one set after another, each
 set's roots and reverse BFS. A call with enough expected roots splits
-its blocks over threads inside the kernel (``_workers``: one per
-``ROOTS_PER_WORKER`` roots, at most one per core; the kernel starts at
-most one per block); since
+its blocks over threads inside the kernel (``_workers``: one per core
+once each gets ``ROOTS_PER_WORKER`` roots; the kernel starts at most
+one per block); since
 a block's sets depend only on its stream, the pool is the same for any
 worker count. ``sample_sets_pairs`` draws the same sets
 on Spark executors (one ``mapInPandas`` row per block over a broadcast
@@ -55,7 +55,12 @@ PAIRS_SCHEMA = StructType(
 
 # Sets are sampled in blocks of this many ids; block j is seeded by
 # (seed, j) alone, so the sets never depend on the venue or partitioning.
-BLOCK = 256
+# Small blocks let a short call split over threads and let a round stop
+# within BLOCK sets of θ_t (DESIGN §2 records the measured sweep).
+BLOCK = 32
+
+# The Spark venue runs at most one task per this many sets.
+SETS_PER_TASK = 256
 
 Pool = tuple[np.ndarray, np.ndarray]
 EMPTY_POOL: Pool = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -65,7 +70,7 @@ Seed = int | np.random.SeedSequence
 # A kernel call splits its blocks over threads only when each worker
 # gets at least this many expected roots; smaller shares lose more to
 # starting a thread than they gain (DESIGN §2 records the crossover).
-ROOTS_PER_WORKER = 1024
+ROOTS_PER_WORKER = 512
 
 
 def substream(seed: Seed, *key: int) -> np.random.SeedSequence:
@@ -77,13 +82,12 @@ def substream(seed: Seed, *key: int) -> np.random.SeedSequence:
 
 def _workers(roots: float) -> int:
     """The worker threads a kernel call of ``roots`` expected roots
-    splits over: one per ``ROOTS_PER_WORKER`` expected roots, but never
-    more than the cores this process may run on, and one below the
-    threshold. The kernel starts no more threads than the call has
+    splits over: every core this process may run on once each gets
+    ``ROOTS_PER_WORKER`` expected roots, else one (4 cores from 2,048
+    roots). The kernel starts no more threads than the call has
     blocks."""
-    if roots < 2 * ROOTS_PER_WORKER:
-        return 1
-    return min(len(os.sched_getaffinity(0)), int(roots // ROOTS_PER_WORKER))
+    cores = len(os.sched_getaffinity(0))
+    return cores if roots >= cores * ROOTS_PER_WORKER else 1
 
 
 def _sample_blocks(
@@ -220,9 +224,10 @@ def sample_sets_pairs(
     (set_id, node) membership rows.
 
     One task row per block ``first_block … ⌈n_sets/BLOCK⌉ − 1``, in
-    contiguous ranges over at most ``2·defaultParallelism`` partitions;
-    each task draws its blocks with one kernel call over the broadcast CSR
-    payload and explodes the CSR into rows. Set ids are
+    contiguous ranges over at most ``2·defaultParallelism`` partitions
+    and at most one per ``SETS_PER_TASK`` sets; each task draws its
+    blocks with one kernel call over the broadcast CSR payload and
+    explodes the CSR into rows. Set ids are
     ``first_block·BLOCK … n_sets − 1``, collected in non-decreasing order,
     and every set equals ``sample_pool``'s at the same seed, whatever the
     partitioning. Inputs are checked on the driver, as in ``sample_pool``.
@@ -234,17 +239,19 @@ def sample_sets_pairs(
     bc = g.broadcast(spark)
     active_bytes = np.packbits(active)
     n = g.n
-    parts = min(n_blocks - first_block, 2 * spark.sparkContext.defaultParallelism)
+    tasks = -(-(n_sets - first_block * BLOCK) // SETS_PER_TASK)
+    parts = min(tasks, 2 * spark.sparkContext.defaultParallelism)
     tasks_df = spark.range(first_block, n_blocks, 1, parts).toDF("block")
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         graph = kernel.prepare(bc.value)
         act = np.unpackbits(active_bytes, count=n).astype(bool)
         for pdf in batches:
-            js = pdf["block"].tolist()
+            js = pdf["block"].to_numpy()
             # Spark runs one task per core already: a task draws on one.
             sizes, members = _sample_blocks(graph, act, eta_i, model, roots, n_sets, seed, js, 1)
-            ids = np.concatenate([j * BLOCK + np.arange(min(BLOCK, n_sets - j * BLOCK)) for j in js])
+            ids = (js[:, None] * BLOCK + np.arange(BLOCK)).ravel()
+            ids = ids[ids < n_sets]
             yield pd.DataFrame({"set_id": np.repeat(ids, sizes), "node": members})
 
     return tasks_df.mapInPandas(gen, schema=PAIRS_SCHEMA)

@@ -33,7 +33,7 @@ def test_worker_counts_give_the_same_bytes(small_cl_graph, model, root_law, firs
     active = np.ones(g.n, bool)
     active[::10] = False
     js = np.arange(first_block, 9)
-    takes = np.minimum(BLOCK, 8 * BLOCK + 40 - BLOCK * js)
+    takes = np.minimum(BLOCK, 8 * BLOCK + 9 - BLOCK * js)
     draws = [
         kernel.sample_blocks(substream(5, 1), js, takes, BLOCK, g.kernel_graph(), model == LT,
                              active, root_law, workers)
@@ -78,15 +78,17 @@ def test_kernel_checks_blocks_before_drawing(small_cl_graph, js, takes, match):
 
 
 def test_worker_rule(monkeypatch):
-    """Under ``2·ROOTS_PER_WORKER`` expected roots a call gets one worker;
-    above it one per ``ROOTS_PER_WORKER``, never more than the cores this
-    process may use. (The kernel caps the count at the call's blocks:
-    the sanitizer driver below checks that.)"""
+    """Under ``ROOTS_PER_WORKER`` expected roots per core a call gets one
+    worker; from there one per core this process may use. (The kernel
+    caps the count at the call's blocks: the sanitizer driver below
+    checks that.)"""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert mrr._workers(4 * ROOTS_PER_WORKER - 1) == 1
+    assert mrr._workers(4 * ROOTS_PER_WORKER) == 4
+    assert mrr._workers(1e9) == 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3})
     assert mrr._workers(2 * ROOTS_PER_WORKER - 1) == 1
     assert mrr._workers(2 * ROOTS_PER_WORKER) == 2
-    assert mrr._workers(3.5 * ROOTS_PER_WORKER) == 3
-    assert mrr._workers(1e9) == 4
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
     assert mrr._workers(1e9) == 1
 
@@ -115,13 +117,13 @@ def test_worker_crossover_runs(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("roots,eta_i,n_sets,cores,expected", [
     # RR: one root per set.
-    ("rr", 1, 2 * ROOTS_PER_WORKER - 1, 4, 1),
-    ("rr", 1, 4 * ROOTS_PER_WORKER, 2, 2),
-    ("rr", 1, 4 * ROOTS_PER_WORKER, 4, 4),
+    ("rr", 1, 4 * ROOTS_PER_WORKER - 1, 4, 1),
+    ("rr", 1, 8 * ROOTS_PER_WORKER, 2, 2),
+    ("rr", 1, 8 * ROOTS_PER_WORKER, 4, 4),
     # mRR on 135 active nodes at η = 15: 9 roots per set; the kernel
-    # splits the last call's two blocks over two of the four.
+    # splits the 512-set call's 16 blocks over the four.
     ("mrr", 15, 200, 4, 1),
-    ("mrr", 15, 2 * BLOCK, 4, 4),
+    ("mrr", 15, 512, 4, 4),
 ])
 def test_sample_pool_passes_the_rule(small_cl_graph, monkeypatch, roots, eta_i, n_sets, cores,
                                      expected):
@@ -143,13 +145,41 @@ def test_sample_pool_passes_the_rule(small_cl_graph, monkeypatch, roots, eta_i, 
     assert seen == [expected]
 
 
+@pytest.mark.parametrize("model", [IC, LT])
+def test_a_256_set_mrr_call_splits(small_cl_graph, monkeypatch, model):
+    """A 256-set mRR call above the split threshold (135 active nodes at
+    η = 5: 27 roots per set) spans 256/``BLOCK`` blocks, so the kernel
+    draws it on more than one run; its pool equals one worker's."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+    active[::10] = False
+    n_sets, eta_i = 256, 5
+    assert n_sets * active.sum() / eta_i >= 4 * ROOTS_PER_WORKER
+    seen = []
+    draw = kernel.sample_blocks
+
+    def spy(*args):
+        seen.append((len(args[1]), args[8]))
+        return draw(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(kernel, "sample_blocks", spy)
+    split = sample_pool(g, active, eta_i, model, n_sets, 3, roots="mrr")
+    [(blocks, workers)] = seen
+    assert min(blocks, workers) > 1
+    monkeypatch.setattr(mrr, "_workers", lambda roots: 1)
+    serial = sample_pool(g, active, eta_i, model, n_sets, 3, roots="mrr")
+    assert seen[1] == (blocks, 1)
+    assert [a.tobytes() for a in split] == [a.tobytes() for a in serial]
+
+
 def test_spark_tasks_draw_on_one_thread(spark, small_cl_graph, monkeypatch):
     """Each ``sample_sets_pairs`` task draws its blocks with one worker,
     on a call that the rule would split: a spy run in the executors
     writes the worker count it was passed over every member."""
     g = small_cl_graph
     active = np.ones(g.n, bool)
-    n_sets = 16 * BLOCK
+    n_sets = len(os.sched_getaffinity(0)) * ROOTS_PER_WORKER
     real = mrr._sample_blocks
 
     def spy(*args, **kwargs):

@@ -158,11 +158,12 @@ def test_pool_does_not_depend_on_chunk(small_cl_graph, model, roots, eta_i):
     g = small_cl_graph
     active = np.ones(g.n, bool)
     active[::10] = False
-    n_sets = 5 * BLOCK + 40
+    n_sets = 5 * BLOCK + 9
+    n_blocks = -(-n_sets // BLOCK)
     indptr, members = sample_pool(g, active, eta_i, model, n_sets, 13, roots=roots)
     draw = partial(mrr._sample_blocks, g.kernel_graph(), active, eta_i, model, roots, n_sets, 13)
     for chunk in (1, 5):
-        parts = [draw(range(lo, min(lo + chunk, 6))) for lo in range(0, 6, chunk)]
+        parts = [draw(range(lo, min(lo + chunk, n_blocks))) for lo in range(0, n_blocks, chunk)]
         sizes = np.concatenate([s for s, _ in parts])
         np.testing.assert_array_equal(np.diff(indptr), sizes)
         np.testing.assert_array_equal(members, np.concatenate([m for _, m in parts]))
@@ -181,7 +182,7 @@ def test_batch_equals_its_blocks_alone(small_cl_graph, model, n_active):
     if n_active is not None:
         active[:] = False
         active[np.argmax(g.indeg)] = True
-    draw = partial(mrr._sample_blocks, g.kernel_graph(), active, 1, model, "rr", 3 * BLOCK + 40, 13)
+    draw = partial(mrr._sample_blocks, g.kernel_graph(), active, 1, model, "rr", 3 * BLOCK + 9, 13)
     for js in (range(4), range(1, 3)):
         sizes, members = draw(js)
         alone = [draw([j]) for j in js]

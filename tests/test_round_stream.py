@@ -46,7 +46,7 @@ SEED = 5
 def _run_round(monkeypatch, g, kind, model, eta, b, roots):
     """Run one round with greedy and the kernel spied on: the result,
     the active mask, η_i and θ_o its sampler saw, each pool greedy got,
-    and each run of block ids drawn."""
+    and each run of block ids drawn with the count of sets it drew."""
     pools, batches = [], []
     module = trim_module if kind == "trim" else ateuc_module
     greedy, kernel = module.greedy_max_coverage, mrr._sample_blocks
@@ -56,8 +56,9 @@ def _run_round(monkeypatch, g, kind, model, eta, b, roots):
         return greedy(indptr, members, n, k)
 
     def spy_kernel(*args, **kwargs):
-        batches.append(list(args[7]))
-        return kernel(*args, **kwargs)
+        out = kernel(*args, **kwargs)
+        batches.append((list(args[7]), len(out[0])))
+        return out
 
     monkeypatch.setattr(module, "greedy_max_coverage", spy_greedy)
     monkeypatch.setattr(mrr, "_sample_blocks", spy_kernel)
@@ -91,7 +92,17 @@ def test_each_iteration_reads_a_prefix_of_one_stream(small_cl_graph, monkeypatch
         want = sample_pool(g, active, eta_i, model, theta, SEED, roots=roots)
         np.testing.assert_array_equal(indptr, want[0])
         np.testing.assert_array_equal(members, want[1])
-    assert [j for js in batches for j in js] == list(range(-(-res.n_sets // BLOCK)))
+    assert [j for js, _ in batches for j in js] == list(range(-(-res.n_sets // BLOCK)))
+
+
+@pytest.mark.parametrize("kind,model,eta,b,roots", ROUNDS)
+def test_a_stopped_round_draws_under_one_block_past_theta(small_cl_graph, monkeypatch, kind, model, eta, b, roots):
+    """A round that stops at θ_t has drawn at least θ_t sets and fewer
+    than θ_t + ``BLOCK``: only the tail of the block that θ_t cuts goes
+    unread."""
+    res, _, _, batches = _run_round(monkeypatch, small_cl_graph, kind, model, eta, b, roots)
+    drawn = sum(n for _, n in batches)
+    assert res.n_sets <= drawn < res.n_sets + BLOCK
 
 
 @pytest.mark.parametrize("kind,model,eta,b,roots", ROUNDS[::2])
@@ -156,7 +167,9 @@ def test_back_to_back_calls_equal_fresh_processes():
         np.testing.assert_array_equal(members, np.concatenate([m for _, m in alone]))
 
 
-@pytest.mark.parametrize("n_sets,first_block", [(5 * BLOCK + 9, 0), (6 * BLOCK, 2)])
+# At any power-of-two BLOCK up to 256, 1289 sets end in a partial block
+# of 9 and 1536 fill whole blocks.
+@pytest.mark.parametrize("n_sets,first_block", [(1289, 0), (1536, 2)])
 def test_a_call_is_one_kernel_call(small_cl_graph, monkeypatch, n_sets, first_block):
     """``sample_pool`` draws blocks ``first_block`` … ⌈n_sets/BLOCK⌉ − 1
     in one kernel call, and its pool is that call's sizes and members."""

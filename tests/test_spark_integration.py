@@ -17,7 +17,7 @@ from repro.baselines.adaptim import adaptim
 from repro.baselines.ateuc import ateuc
 from repro.core.asti import asti
 from repro.diffusion.realization import IC, LT
-from repro.sampling.mrr import BLOCK, sample_pool
+from repro.sampling.mrr import BLOCK, SETS_PER_TASK, sample_pool, sample_sets_pairs
 from tests.pools import spark_pool
 
 
@@ -37,7 +37,26 @@ def test_spark_and_local_pools_identical(spark, small_cl_graph, model, roots, n_
     np.testing.assert_array_equal(members_s, members_l)
 
 
-@pytest.mark.parametrize("n_sets,first_block", [(700, 1), (4 * BLOCK, 2), (3 * BLOCK + 1, 3)])
+def test_venue_sizes_its_tasks_by_sets(spark, small_cl_graph):
+    """The Spark venue runs at most one task per ``SETS_PER_TASK`` sets
+    the call draws, whatever the block size, and at most
+    ``2·defaultParallelism``."""
+    g = small_cl_graph
+    active = np.ones(g.n, bool)
+
+    def tasks(n_sets, first_block=0):
+        pairs = sample_sets_pairs(spark, g, active, 1, IC, n_sets, 3, roots="rr", first_block=first_block)
+        return pairs.rdd.getNumPartitions()
+
+    assert tasks(64) == 1
+    assert tasks(SETS_PER_TASK + 1) == 2
+    assert tasks(SETS_PER_TASK + BLOCK, first_block=1) == 1
+    assert tasks(100 * SETS_PER_TASK) == 2 * spark.sparkContext.defaultParallelism
+
+
+# At any power-of-two BLOCK up to 256, 1024 sets fill whole blocks and
+# 769 end in a block of one set.
+@pytest.mark.parametrize("n_sets,first_block", [(700, 1), (1024, 2), (769, 3)])
 @pytest.mark.parametrize("roots", ["mrr", "rr"])
 @pytest.mark.parametrize("model", [IC, LT])
 def test_pools_from_a_later_block_identical(spark, small_cl_graph, model, roots, n_sets, first_block):

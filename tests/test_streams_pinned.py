@@ -40,18 +40,18 @@ ITEMS = (
 )
 
 DIGESTS = {
-    "pool-nethept_lite-IC-mrr5": "7879aac8447f7cffa92c282db3c7b13341cbdadc30fe30efae6533e36f237028",
-    "pool-nethept_lite-IC-mrr50": "f5f93a6cc7df26a29d27346efbd6e498d433b62ed5a1a6a32bb04a47ff880ff6",
-    "pool-nethept_lite-IC-rr": "bbd5c3a6e0049ca23d587c46cf16078baddb8000201719538a8a1c9806820d23",
-    "pool-nethept_lite-LT-mrr5": "41d7cacd8cd4a01c7885e789c28152ae027238df63d1ff3a075ef3212165a6e7",
-    "pool-nethept_lite-LT-mrr50": "1a88bcfd3c8ee19f0f708237ac1c394285a19e472dbc1eee6ce6e987e31670e8",
-    "pool-nethept_lite-LT-rr": "ae4d741abc94d240c2c251ca39fb15eb8da63052b3e18de6d0b344aac9a0cdaf",
-    "pool-livejournal_lite-IC-mrr5": "550e565a26622eccd8e98a16c5a07739874ec83c7aaf08bca01045984b5576ae",
-    "pool-livejournal_lite-IC-mrr50": "9cd347213d04769d8f1f4c1d8c181d4824422c3a3886fe9e2bc011b6a37a1466",
-    "pool-livejournal_lite-IC-rr": "25243cd1bc36cb97baa1e88af02b078c2029cdff7c1ee97050394bbe06520a7a",
-    "pool-livejournal_lite-LT-mrr5": "70e876a923b4754e59b4612944ba465578bc54ba4ff85485703ef21a06cb9062",
-    "pool-livejournal_lite-LT-mrr50": "addad2bd53b7a8e8173a9385605fd177de6a1f140293b80bf75d8a7d13358d43",
-    "pool-livejournal_lite-LT-rr": "e47fe51a77eef6f73bbb5f0b1951a118949b287d8b715d87bfa814189131ecaf",
+    "pool-nethept_lite-IC-mrr5": "1248b524d5b19063e4b62a5caa09ff9b097b9fede5bf455150af90a0d231a854",
+    "pool-nethept_lite-IC-mrr50": "226883cdbaa056bebf29c5f0955466cf518a7b4af874f7b57628cb744e576166",
+    "pool-nethept_lite-IC-rr": "9c06b45fe07c7ecce5edcb87ee2ab6c8ba8624b08db8ce1ca81f262b139eb522",
+    "pool-nethept_lite-LT-mrr5": "ad8a377819a57bdb4b81bc5050d04afb9376752869f472d4db09c73855e06f12",
+    "pool-nethept_lite-LT-mrr50": "58dce9456b15c9b810e19d4d19fad84eea0c0d6acf782e231661bd6a2d04f381",
+    "pool-nethept_lite-LT-rr": "990aca0e05d467a29e447e45fcc6c3d5554274bc1af7b71634e12de25948fc25",
+    "pool-livejournal_lite-IC-mrr5": "4c52fa1f8aaf1a4a6405c4549726f5ef8004b6dad153d7990cd705579b3a30eb",
+    "pool-livejournal_lite-IC-mrr50": "4685236430f069c9ddb93465edc1709f117bd616d72ace495d988a39173fa0e7",
+    "pool-livejournal_lite-IC-rr": "90721fe3c21c5b65aa50a2162f577fc27f4b99dd173344f7e67ea9a419cdb6c5",
+    "pool-livejournal_lite-LT-mrr5": "d9ab4670860a5f2a92f5b2c30e737e6374900cd17eb6c137814f5f4e283a361a",
+    "pool-livejournal_lite-LT-mrr50": "3e1adab7ae4dd835afe5ed4b9bd61d544f0db040f4e9e95a3912c447cee72f16",
+    "pool-livejournal_lite-LT-rr": "f8782b8bfd8664734e157cf91018515a403056c5723ba8892e7fa442d2bac91b",
     "realization-nethept_lite-IC-0": "daa8831f08bd4eb5829caec5f505dedc938b512f373b101b82a3621ff5d41ecd",
     "realization-nethept_lite-IC-1": "3f6e18d28ceeb1496bd329d4d38f7634614ec438743796c776d7c59a0f534842",
     "realization-nethept_lite-IC-2": "a44abc0fcaf0abdfafe0bf7da71195ea74238b100e69d21fd660c5f2b56283cd",
@@ -65,28 +65,28 @@ DIGESTS = {
     "realization-livejournal_lite-LT-1": "895b55a2e188864da7a664a50d9bc25e952c59bd56305a328293ac8ec17ee013",
     "realization-livejournal_lite-LT-2": "2da6a0eb980ba46e566ff72a10588b5d377f40735fde719c19333a28a1940fec",
     "seeds-nethept_lite-IC-asti-0": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
-    "seeds-nethept_lite-IC-asti-1": "33de7f5e125f78ae7a64649ad030a00863c7c72e9bb9440fe4f2495e82a7be56",
-    "seeds-nethept_lite-IC-asti-2": "04e4b0d6bf324138670e555ab31dc93c600d8910db893c487850ea3982fe07bb",
-    "seeds-nethept_lite-IC-asti4-0": "b718c3dacfb13fe94677e055a984324df1ff2171e019efeef0d82155b4998b2e",
-    "seeds-nethept_lite-IC-asti4-1": "3f62ac40c8f0b177534328a91884defc76fc053013d46a25da0ba493b108649a",
-    "seeds-nethept_lite-IC-asti4-2": "a9f4c08f6ab55fc210ec50249395b267832408f3823a205fb1faf7734cad4efc",
+    "seeds-nethept_lite-IC-asti-1": "e1d2193de20ceac16a931a75d744b7cd2c8982c953cc83c92fb0c37ee4908982",
+    "seeds-nethept_lite-IC-asti-2": "413d90b423f174a7481f306320ff5aefe47975530e527176e8c43278810d8cf4",
+    "seeds-nethept_lite-IC-asti4-0": "5afdd5ecc7d5615dc670e6f1079a14f1cfcb0a092adae3be220f0c6d292ceb9e",
+    "seeds-nethept_lite-IC-asti4-1": "ccc71081e5a171d269697c308908857c0a82dd9d34bd42db63e3018bf558d3bd",
+    "seeds-nethept_lite-IC-asti4-2": "a8ff21584247ceb5de1146f8762b8c84b594d2fd9b10cd3420827e6ac8baee83",
     "seeds-nethept_lite-IC-adaptim-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-IC-adaptim-1": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
     "seeds-nethept_lite-IC-adaptim-2": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
-    "seeds-nethept_lite-IC-ateuc-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
-    "seeds-nethept_lite-IC-ateuc-1": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
-    "seeds-nethept_lite-IC-ateuc-2": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
-    "seeds-nethept_lite-LT-asti-0": "122a63ff15187ed0d0c6b771458e5abdceadf47e78c9caa2837e437ca8b3f54e",
+    "seeds-nethept_lite-IC-ateuc-0": "204cbfb4436ac612c0b8f185fcd64fa625ffaffb5f70e9195962d45477a5d994",
+    "seeds-nethept_lite-IC-ateuc-1": "93913e76b5637b3441622a21292e97256a863e98ab7cdd79db2956bde9c09cf5",
+    "seeds-nethept_lite-IC-ateuc-2": "5b416088d82ab622581821ef8e2cfa29ebc2947edb7101d2ff0377ae1c13d5dd",
+    "seeds-nethept_lite-LT-asti-0": "a7109f01f209914b33503d83f066b9392ec8ea91ac46eeac74d6bff36711e1a2",
     "seeds-nethept_lite-LT-asti-1": "04e4b0d6bf324138670e555ab31dc93c600d8910db893c487850ea3982fe07bb",
-    "seeds-nethept_lite-LT-asti-2": "3f27be98eb3d5ca55498d26c9e6a4466146065e0a84d59cf43940088293b3f89",
-    "seeds-nethept_lite-LT-asti4-0": "91312df4ba90369d8ab603f8adf81bb030afa54ab527a76fe0893ec62a85bfb0",
-    "seeds-nethept_lite-LT-asti4-1": "b584d91d7ccea6b5fd5d806d7575f78d0c3146818a4ff702d965f4aec677ce86",
-    "seeds-nethept_lite-LT-asti4-2": "2bf975c9106482ce472d9db2470b0643a3a1746298f79d79a41689512dc4daf2",
+    "seeds-nethept_lite-LT-asti-2": "38fd84679696125734535989e0bca2ae52e7a2a731593d0152232668f095dcec",
+    "seeds-nethept_lite-LT-asti4-0": "bc55a96462bc565c47842e1f27a7c3f604c8cf5c3d6b1d735313451763d5e937",
+    "seeds-nethept_lite-LT-asti4-1": "15828d596dcde5cf1c5ce878e982c62bd75a1915b28e5f942cc722dadd3f065d",
+    "seeds-nethept_lite-LT-asti4-2": "8f3108770513028861d98e9345c89a7cf74a3f291ac1f064db8b5e2d73a18e0c",
     "seeds-nethept_lite-LT-adaptim-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
-    "seeds-nethept_lite-LT-adaptim-1": "8fd9d75eca3a2d8856db6887f8798bbaab9d1234e193fa3cb86fcfceb4f0ffc4",
+    "seeds-nethept_lite-LT-adaptim-1": "30ab33badd948c8f6f3a657dd6575b2435a1e283671b0fdbad349af5f1060844",
     "seeds-nethept_lite-LT-adaptim-2": "bd81cf0e0fdc958359d9b1fe817fb0b5fa08e90f44a5965995f092b84ff11c31",
-    "seeds-nethept_lite-LT-ateuc-0": "bfe044a233edda62deb91135a1fc66ffe1028fbb0b7614f77434844a6d58e254",
-    "seeds-nethept_lite-LT-ateuc-1": "92a94dbc8361bc38c97e7d0e8ec8b9c23a16153687da24f19a84b0e86d8276ef",
+    "seeds-nethept_lite-LT-ateuc-0": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
+    "seeds-nethept_lite-LT-ateuc-1": "890930906ec4a800e975ac391d7a56b2d7bac74b2a17610b6e74810e329b5a5a",
     "seeds-nethept_lite-LT-ateuc-2": "92a94dbc8361bc38c97e7d0e8ec8b9c23a16153687da24f19a84b0e86d8276ef",
 }
 
